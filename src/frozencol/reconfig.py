@@ -2,13 +2,16 @@
 
 R_k(G) has one vertex per proper k-colouring (ordered blocks, empty blocks
 allowed) and an edge between colourings differing on exactly one vertex.
-States are colour-per-vertex tuples; components come from union-find over the
-implicit move relation, so edges are never stored.
+Everything here runs on one engine, `_Packing.walk`: a single lexicographic
+pass in which the i-th state yielded is state i and all of its moves come
+as one packed bitmask. Moves to a lower colour reach states already seen,
+so union-find runs in the same pass and edges are never stored.
 """
 
 from __future__ import annotations
 
 import warnings
+from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
 
@@ -25,53 +28,102 @@ class CapExceeded(RuntimeError):
     """A state-space walk crossed its configured budget."""
 
 
-def proper_colour_vectors(g: Graph, k: int, cap: int = DEFAULT_COLOURING_CAP):
-    """Yield every proper k-colour vector of g in lexicographic order.
+class _Packing:
+    """The proper k-colourings of g as lex-ordered states with packed moves.
 
-    Iterative backtracking: vertex v only ever checks neighbours below it.
+    A state's code reads its colour vector in base k, vertex 0 most
+    significant, so codes grow in lex order. Packed masks give vertex u the
+    k bits from (k+1)*u, under a zero guard bit: S holds the colours on u's
+    neighbours, C the one-hot colour of u. The colours open to v are the
+    zero bits of its field of S; a full field carries into its guard bit
+    when ONES is added, which prunes the branch. At a leaf, moves =
+    FULL & ~(S | C) sets bit (k+1)*u + c iff u can be recoloured c.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    n = g.n
-    if n == 0:
-        yield ()
-        return
-    if k == 0:
-        return
-    earlier = [tuple(u for u in g.neighbour_list(v) if u < v) for v in range(n)]
-    cols = [0] * n
-    nxt = [0] * n
-    forb = [0] * n
-    count = 0
-    v = 0
-    fresh = True
-    while v >= 0:
-        if v == n:
-            count += 1
-            if count > cap:
-                raise CapExceeded(f"more than {cap} proper colourings")
-            yield tuple(cols)
-            v -= 1
-            fresh = False
-            continue
-        if fresh:
-            f = 0
-            for u in earlier[v]:
-                f |= 1 << cols[u]
-            forb[v] = f
-            nxt[v] = 0
-        c = nxt[v]
-        f = forb[v]
-        while c < k and f >> c & 1:
-            c += 1
-        if c < k:
+
+    def __init__(self, g: Graph, k: int):
+        if k < 0:
+            raise ValueError("k must be non-negative")
+        n, width = g.n, k + 1
+        self.n, self.k, self.width = n, k, width
+        self.ones = sum(1 << width * v for v in range(n))
+        self.nbr_bits = [sum(1 << width * u for u in g.neighbour_list(v)) for v in range(n)]
+        self.weight = [k ** (n - 1 - v) for v in range(n)]
+        # the place value in a code of the colour at bit p of a move mask
+        self.place = [p % width * self.weight[p // width] for p in range(n * width)]
+
+    def walk(self, cap: int = DEFAULT_COLOURING_CAP, pin=None):
+        """Yield (code, cols, moves, lower) per proper colouring, in lex order.
+
+        cols is one list, overwritten between yields; lower keeps the moves
+        to a smaller colour, which lead to states yielded earlier. A colour
+        vector pin restricts the walk to that colouring.
+        """
+        n, width, full, ones = self.n, self.width, (1 << self.k) - 1, self.ones
+        if n == 0:
+            yield 0, [], 0, 0
+            return
+        nbr_bits, weight = self.nbr_bits, self.weight
+        everything, guards = full * ones, ones << self.k
+        allowed = [full] * n if pin is None else [1 << c for c in pin]
+        last = n - 1
+        shift_last, bits_last, allowed_last = width * last, nbr_bits[last], allowed[last]
+        cols = [0] * n
+        # S, C and the code of the colours fixed above each depth
+        seen, onehot, prefix = [0] * n, [0] * n, [0] * n
+        avail = allowed[:1] + [0] * last
+        count = 0
+        v = 0
+        while v >= 0:
+            if v == last:
+                s0, c0, x0 = seen[v], onehot[v], prefix[v]
+                a = ~(s0 >> shift_last) & allowed_last
+                while a:
+                    b = a & -a
+                    a ^= b
+                    c = b.bit_length() - 1
+                    count += 1
+                    if count > cap:
+                        raise CapExceeded(f"more than {cap} proper colourings")
+                    cols[last] = c
+                    col = c0 | b << shift_last
+                    moves = everything & ~(s0 | bits_last << c | col)
+                    yield x0 + c, cols, moves, moves & (col - ones)
+                v -= 1
+                continue
+            a = avail[v]
+            if not a:
+                v -= 1
+                continue
+            b = a & -a
+            avail[v] = a ^ b
+            c = b.bit_length() - 1
+            s = seen[v] | nbr_bits[v] << c
+            if (s + ones) & guards:  # a vertex has every colour around it
+                continue
             cols[v] = c
-            nxt[v] = c + 1
+            seen[v + 1] = s
+            onehot[v + 1] = onehot[v] | b << width * v
+            prefix[v + 1] = prefix[v] + c * weight[v]
             v += 1
-            fresh = True
-        else:
-            v -= 1
-            fresh = False
+            avail[v] = ~(s >> width * v) & allowed[v]
+
+    def targets(self, code: int, cols, mask: int) -> list[int]:
+        """Codes of the states the moves in mask lead to, in bit order."""
+        width, place = self.width, self.place
+        out = []
+        while mask:
+            b = mask & -mask
+            mask ^= b
+            p = b.bit_length() - 1
+            u = p // width
+            out.append(code + place[p] - place[u * width + cols[u]])
+        return out
+
+
+def proper_colour_vectors(g: Graph, k: int, cap: int = DEFAULT_COLOURING_CAP):
+    """Yield every proper k-colour vector of g in lexicographic order."""
+    for _, cols, _, _ in _Packing(g, k).walk(cap):
+        yield tuple(cols)
 
 
 def enumerate_colourings(g: Graph, k: int, cap: int = DEFAULT_COLOURING_CAP):
@@ -84,15 +136,8 @@ def colouring_degree(g: Graph, p: BlockPartition) -> int:
     """Number of neighbours of this colouring in R_k(g), k = p.k."""
     if not is_proper_colouring(g, p):
         raise ValueError("not a proper colouring")
-    vec = p.to_colours()
-    full = (1 << p.k) - 1
-    deg = 0
-    for v in range(g.n):
-        forb = 0
-        for u in g.neighbour_list(v):
-            forb |= 1 << vec[u]
-        deg += (full & ~forb & ~(1 << vec[v])).bit_count()
-    return deg
+    _, _, moves, _ = next(_Packing(g, p.k).walk(pin=p.to_colours()))
+    return moves.bit_count()
 
 
 @dataclass(frozen=True)
@@ -120,14 +165,6 @@ class ReconfigReport:
         }
 
 
-def _move_targets(vec, v, nbrs, full):
-    """Colours vertex v can switch to from vec, as a bitmask."""
-    forb = 0
-    for u in nbrs:
-        forb |= 1 << vec[u]
-    return full & ~forb & ~(1 << vec[v])
-
-
 def reconfiguration_components(
     g: Graph,
     k: int,
@@ -135,71 +172,62 @@ def reconfiguration_components(
     union_cap: int = DEFAULT_UNION_CAP,
     truncate: bool = False,
 ) -> ReconfigReport:
-    """Component structure of R_k(g) by union-find over the move relation.
+    """Component structure of R_k(g) by union-find in one lex-ordered pass.
 
-    Raises CapExceeded when a budget is crossed unless truncate is set, in
-    which case a partial report is returned with the truncated flag up.
+    Each R_k edge is unioned once, from its later end, so union_cap bounds
+    the number of edges. Raises CapExceeded when a budget is crossed unless
+    truncate is set; the partial report then has the truncated flag up and
+    describes R_k restricted to the states before the one that crossed it.
     """
-    n = g.n
-    states: dict[tuple, int] = {}
+    space = _Packing(g, k)
+    index: dict[int, int] = {}
+    parent = array("i")  # parent[i] <= i, so each root is its tree's minimum
+    unions = 0
     truncated = False
+    frozen_vecs = []
     try:
-        for vec in proper_colour_vectors(g, k, colouring_cap):
-            states[vec] = len(states)
+        for code, cols, moves, lower in space.walk(colouring_cap):
+            unions += lower.bit_count()
+            if unions > union_cap:
+                raise CapExceeded(f"more than {union_cap} union operations")
+            index[code] = i = len(parent)
+            parent.append(i)
+            root = i
+            for t in space.targets(code, cols, lower):
+                j = index[t]
+                while True:  # find with path halving
+                    up = parent[j]
+                    if up == j:
+                        break
+                    top = parent[up]
+                    if top == up:
+                        j = up
+                        break
+                    parent[j] = top
+                    j = top
+                if j < root:
+                    parent[root] = j
+                    root = j
+                elif j > root:
+                    parent[j] = root
+            if not moves and len(set(cols)) == k:
+                frozen_vecs.append(tuple(cols))
     except CapExceeded:
         if not truncate:
             raise
         truncated = True
-    order = list(states)
-    parent = list(range(len(order)))
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    nbr_lists = [g.neighbour_list(v) for v in range(n)]
-    full = (1 << k) - 1
-    unions = 0
-    frozen_vecs = []
-    for i, vec in enumerate(order):
-        isolated = True
-        lst = list(vec)
-        for v in range(n):
-            targets = _move_targets(vec, v, nbr_lists[v], full)
-            while targets:
-                c = (targets & -targets).bit_length() - 1
-                targets &= targets - 1
-                isolated = False
-                lst[v] = c
-                j = states.get(tuple(lst))
-                if j is not None:
-                    unions += 1
-                    if unions > union_cap:
-                        if not truncate:
-                            raise CapExceeded(f"more than {union_cap} union operations")
-                        truncated = True
-                        targets = 0
-                        break
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[ri] = rj
-            lst[v] = vec[v]
-        if truncated and unions > union_cap:
-            break
-        if isolated and len(set(vec)) == k:
-            frozen_vecs.append(vec)
-
-    sizes = Counter(find(i) for i in range(len(order)))
+    for i in range(len(parent)):  # parents point down: one pass finds every root
+        parent[i] = parent[parent[i]]
+    sizes = Counter(parent)
     component_sizes = tuple(sorted(sizes.values(), reverse=True))
     frozen = tuple(BlockPartition.from_colours(v_, k) for v_ in frozen_vecs)
     for p in frozen:
         assert is_frozen_colouring(g, p)
-    assert sum(component_sizes) == len(order)
+    assert sum(component_sizes) == len(parent)
     return ReconfigReport(
         k=k,
-        colouring_count=len(order),
+        colouring_count=len(parent),
         component_count=len(sizes),
         component_sizes=component_sizes,
         frozen_colourings=frozen,
@@ -232,61 +260,45 @@ def recolouring_diameter(
     Returns one integer when R_k is connected, otherwise a tuple of
     per-component diameters ordered by decreasing component size.
     """
-    states: dict[tuple, int] = {}
-    for vec in proper_colour_vectors(g, k, colouring_cap):
-        states[vec] = len(states)
-    if not states:
+    space = _Packing(g, k)
+    index: dict[int, int] = {}
+    adj: list[list[int]] = []
+    for code, cols, _, lower in space.walk(colouring_cap):
+        index[code] = i = len(adj)
+        row = [index[t] for t in space.targets(code, cols, lower)]
+        for j in row:
+            adj[j].append(i)
+        adj.append(row)
+    if not adj:
         raise ValueError("no proper colourings")
-    order = list(states)
-    n = g.n
-    nbr_lists = [g.neighbour_list(v) for v in range(n)]
-    full = (1 << k) - 1
-    adj: list[list[int]] = [[] for _ in order]
-    for i, vec in enumerate(order):
-        lst = list(vec)
-        for v in range(n):
-            targets = _move_targets(vec, v, nbr_lists[v], full)
-            while targets:
-                c = (targets & -targets).bit_length() - 1
-                targets &= targets - 1
-                lst[v] = c
-                adj[i].append(states[tuple(lst)])
-            lst[v] = vec[v]
 
-    comp = [-1] * len(order)
     members: list[list[int]] = []
-    for s in range(len(order)):
-        if comp[s] >= 0:
-            continue
-        comp[s] = len(members)
-        queue = deque([s])
-        group = [s]
-        while queue:
-            i = queue.popleft()
-            for j in adj[i]:
-                if comp[j] < 0:
-                    comp[j] = comp[s]
-                    queue.append(j)
-                    group.append(j)
-        members.append(group)
+    placed = [False] * len(adj)
+    for s in range(len(adj)):
+        if not placed[s]:
+            members.append(list(_distances(adj, s)))  # BFS order, s first
+            for i in members[-1]:
+                placed[i] = True
 
     diameters = []
     for group in sorted(members, key=lambda grp: (-len(grp), grp[0])):
         if len(group) > bfs_cap:
             raise CapExceeded(f"component of {len(group)} states exceeds bfs cap {bfs_cap}")
-        ecc = 0
-        for s in group:
-            dist = {s: 0}
-            queue = deque([s])
-            while queue:
-                i = queue.popleft()
-                for j in adj[i]:
-                    if j not in dist:
-                        dist[j] = dist[i] + 1
-                        queue.append(j)
-            ecc = max(ecc, max(dist.values()))
-        diameters.append(ecc)
+        diameters.append(max(max(_distances(adj, s).values()) for s in group))
     return diameters[0] if len(diameters) == 1 else tuple(diameters)
+
+
+def _distances(adj: list[list[int]], s: int) -> dict[int, int]:
+    """BFS distances from s to every state of its component, in BFS order."""
+    dist = {s: 0}
+    queue = deque([s])
+    while queue:
+        i = queue.popleft()
+        for j in adj[i]:
+            if j not in dist:
+                dist[j] = dist[i] + 1
+                queue.append(j)
+    return dist
 
 
 def find_frozen(g: Graph, k: int) -> BlockPartition | None:
@@ -388,28 +400,16 @@ def recolourable_up_to(
 
 def reconfiguration_dot(g: Graph, k: int, cap: int = 10**4) -> str:
     """Render R_k(g) in DOT, nodes labelled by their colour vectors."""
-    states: dict[tuple, int] = {}
-    for vec in proper_colour_vectors(g, k, cap):
-        states[vec] = len(states)
-    order = list(states)
-    n = g.n
-    nbr_lists = [g.neighbour_list(v) for v in range(n)]
-    full = (1 << k) - 1
+    space = _Packing(g, k)
+    index: dict[int, int] = {}
     lines = ["graph reconfig {"]
-    for i, vec in enumerate(order):
-        label = " ".join(map(str, vec)) if vec else "()"
+    upper = []
+    for code, cols, moves, lower in space.walk(cap):
+        index[code] = i = len(upper)
+        label = " ".join(map(str, cols)) if cols else "()"
         lines.append(f'  s{i} [label="{label}"];')
-    for i, vec in enumerate(order):
-        lst = list(vec)
-        for v in range(n):
-            targets = _move_targets(vec, v, nbr_lists[v], full)
-            while targets:
-                c = (targets & -targets).bit_length() - 1
-                targets &= targets - 1
-                lst[v] = c
-                j = states[tuple(lst)]
-                if i < j:
-                    lines.append(f"  s{i} -- s{j};")
-            lst[v] = vec[v]
+        upper.append(space.targets(code, cols, moves ^ lower))
+    for i, targets in enumerate(upper):
+        lines.extend(f"  s{i} -- s{index[t]};" for t in targets)
     lines.append("}")
     return "\n".join(lines) + "\n"

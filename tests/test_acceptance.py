@@ -294,6 +294,7 @@ def walk_and_check(g: Graph, beta: BlockPartition, gamma: BlockPartition,
     assert len(seq.moves) <= bound * g.n
 
 
+@pytest.mark.slow
 def test_08_recolouring_walk_bounds():
     t0 = time.perf_counter()
     rng = random.Random(SEED)
@@ -345,6 +346,7 @@ def test_08_recolouring_walk_bounds():
 # -- 9: frozen states are exactly the isolated states --------------------------------
 
 
+@pytest.mark.slow
 def test_09_frozen_equals_isolated_exhaustive():
     # Every labelled graph on up to 6 vertices, every colour budget up to 4:
     # a state is frozen iff no single-vertex change stays proper. Runs in a

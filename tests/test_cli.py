@@ -171,6 +171,13 @@ def test_reconfig_counts_and_frozen_states(runner, c6_path):
     assert not data["truncated"]
 
 
+def test_reconfig_json_is_byte_identical_to_golden(runner, c6_path):
+    golden = Path(__file__).resolve().parent / "golden" / "reconfig.json"
+    result = runner.invoke(main, ["reconfig", c6_path, "--k", "3"])
+    assert result.exit_code == 0
+    assert result.output == json.loads(golden.read_text())["cli_reconfig_c6_k3"]
+
+
 def test_reconfig_dot_export(runner, c5_path, tmp_path):
     dot = tmp_path / "moves.dot"
     result = runner.invoke(main, ["reconfig", c5_path, "--k", "3",

@@ -1,8 +1,10 @@
 """Recolouring state space: enumeration, components, frozen search, diameter."""
 
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,9 @@ from frozencol.reconfig import (
     reconfiguration_components,
     reconfiguration_dot,
 )
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "reconfig.json").read_text())
 
 
 def brute_vectors(g, k):
@@ -139,6 +144,26 @@ def test_truncation_flag_and_cap():
     assert rep.truncated and rep.colouring_count == 5
 
 
+def test_union_cap_counts_each_edge_once():
+    # R_3(C_4) has 18 states and 24 edges
+    assert reconfiguration_components(cycle_graph(4), 3, union_cap=24).component_count == 1
+    with pytest.raises(CapExceeded, match="union"):
+        reconfiguration_components(cycle_graph(4), 3, union_cap=23)
+
+
+def test_union_cap_truncation_is_a_consistent_prefix():
+    g = cycle_graph(4)
+    rep = reconfiguration_components(g, 3, union_cap=10, truncate=True)
+    assert rep.truncated
+    m = rep.colouring_count
+    vecs = brute_vectors(g, 3)
+    assert 0 < m < len(vecs)
+    assert sum(rep.component_sizes) == m
+    assert list(rep.component_sizes) == oracle_components(g, 3, vecs[:m])
+    # the first m states span at most 10 edges; one more state crosses the cap
+    assert edge_count(g, 3, vecs[:m]) <= 10 < edge_count(g, 3, vecs[: m + 1])
+
+
 def test_report_json_shape():
     rep = reconfiguration_components(complete_graph(3), 3)
     data = rep.to_json()
@@ -157,6 +182,60 @@ def explicit_moves(g, k, vec):
             if all(vec[u] != c for u in g.neighbour_list(v)):
                 out.add(vec[:v] + (c,) + vec[v + 1 :])
     return out
+
+
+def oracle_components(g, k, states):
+    """Sorted component sizes of the move relation restricted to states, by BFS."""
+    inside = set(states)
+    seen = set()
+    sizes = []
+    for s in states:
+        if s in seen:
+            continue
+        seen.add(s)
+        queue = [s]
+        size = 0
+        while queue:
+            x = queue.pop()
+            size += 1
+            for y in explicit_moves(g, k, x):
+                if y in inside and y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        sizes.append(size)
+    return sorted(sizes, reverse=True)
+
+
+def edge_count(g, k, states):
+    inside = set(states)
+    return sum(len(explicit_moves(g, k, s) & inside) for s in states) // 2
+
+
+@given(st.integers(0, 10**9), st.integers(1, 6), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_components_match_bfs_oracle(seed, n, k):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+    vecs = brute_vectors(g, k)
+    rep = reconfiguration_components(g, k)
+    sizes = oracle_components(g, k, vecs)
+    assert rep.colouring_count == len(vecs)
+    assert rep.component_count == len(sizes)
+    assert list(rep.component_sizes) == sizes
+    frozen = [v for v in vecs if not explicit_moves(g, k, v) and len(set(v)) == k]
+    assert [tuple(p.to_colours()) for p in rep.frozen_colourings] == frozen
+    for v in vecs[:: max(1, len(vecs) // 7)]:
+        p = BlockPartition.from_colours(v, k)
+        assert colouring_degree(g, p) == len(explicit_moves(g, k, v))
+    # truncation keeps exactly the first c states in lex order
+    c = rng.randint(1, len(vecs)) if vecs else 1
+    part = reconfiguration_components(g, k, colouring_cap=c, truncate=True)
+    assert part.truncated == (c < len(vecs))
+    assert part.colouring_count == min(c, len(vecs))
+    sizes = oracle_components(g, k, vecs[:c])
+    assert (part.component_count, list(part.component_sizes)) == (len(sizes), sizes)
+    assert [tuple(p.to_colours()) for p in part.frozen_colourings] == [
+        v for v in frozen if v in set(vecs[:c])]
 
 
 @given(st.integers(0, 10**9), st.integers(2, 4))
@@ -205,6 +284,18 @@ def test_star_diameter_within_bound():
 def test_c5_four_colours_diameter_within_bound():
     d = recolouring_diameter(cycle_graph(5), 4)
     assert isinstance(d, int) and d <= 14 * 5
+
+
+def test_diameters_match_goldens():
+    star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    graphs = {"k2_k3": (complete_graph(2), 3), "star_k3": (star, 3),
+              "c5_k4": (cycle_graph(5), 4), "p4_k3": (path_graph(4), 3),
+              "k3_k3": (complete_graph(3), 3), "c6_k3": (cycle_graph(6), 3),
+              "c4_k3": (cycle_graph(4), 3)}
+    for name, (g, k) in graphs.items():
+        d = recolouring_diameter(g, k)
+        want = GOLDEN["diameter"][name]
+        assert d == (tuple(want) if isinstance(want, list) else want), name
 
 
 def test_disconnected_diameters_and_bfs_cap():
@@ -285,3 +376,17 @@ def test_dot_export():
     assert dot.startswith("graph reconfig {")
     assert dot.count("[label=") == 6
     assert dot.count(" -- ") == 6  # a 6-cycle
+
+
+def test_dot_export_is_byte_identical_to_golden():
+    assert reconfiguration_dot(cycle_graph(4), 3) == GOLDEN["dot"]["c4_k3"]
+    assert reconfiguration_dot(path_graph(3), 3) == GOLDEN["dot"]["p3_k3"]
+
+
+def test_frozen_states_come_in_lexicographic_order():
+    graphs = {"k4_k4": (complete_graph(4), 4), "c6_k3": (cycle_graph(6), 3),
+              "c9_k3": (cycle_graph(9), 3),
+              "me2bar_k5": (complement(me_complement(2).graph), 5)}
+    for name, (g, k) in graphs.items():
+        got = [p.to_colours() for p in reconfiguration_components(g, k).frozen_colourings]
+        assert got == GOLDEN["frozen_order"][name] == sorted(got), name
