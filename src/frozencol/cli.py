@@ -8,11 +8,11 @@ request itself was unusable (unknown input, malformed file, cap exceeded).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
@@ -61,19 +61,6 @@ class UsageFailure(Exception):
 
 class VerificationFailure(Exception):
     """Mathematically false claim: a certificate or bound did not check."""
-
-
-@dataclass(frozen=True)
-class CommandConfig:
-    """One parsed invocation: the subcommand plus its parameters."""
-
-    subcommand: str
-    params: dict = field(default_factory=dict)
-    verify: bool = True
-    fmt: str = "auto"
-    out: str | None = None
-    cap: int | None = None
-    seed: int = 0
 
 
 def default_cap() -> int:
@@ -143,309 +130,39 @@ def read_partition(path: str, k: int | None = None) -> BlockPartition:
         raise UsageFailure(f"cannot parse partition {path}: {exc}")
 
 
-def _emit(config: CommandConfig, text: str) -> None:
-    if config.out is None or config.out == "-":
+def _emit(out: str | None, text: str) -> None:
+    if out is None or out == "-":
         click.echo(text, nl=not text.endswith("\n"))
     else:
-        Path(config.out).write_text(text)
+        Path(out).write_text(text)
 
 
 def _dump(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-# -- subcommand handlers -------------------------------------------------------
+def _exit_codes(command):
+    """Run a command body and exit with the code it returns (None means 0).
 
+    VerificationFailure exits 1; CapExceeded and UsageFailure exit 2.
+    """
 
-_FAMILY_ALIASES = {"ME*": "ME_STAR", "MESTAR": "ME_STAR", "ME_STAR": "ME_STAR"}
-
-
-def _run_family(config: CommandConfig) -> int:
-    name = config.params["name"].upper().replace("-", "_")
-    name = _FAMILY_ALIASES.get(name, name)
-    if name not in BUILDERS:
-        raise UsageFailure(
-            f"unknown family {config.params['name']!r}; choose from "
-            + ", ".join(sorted(BUILDERS))
-        )
-    param = config.params["q"]
-    try:
-        inst = BUILDERS[name](param)
-    except ValueError as exc:
-        raise UsageFailure(str(exc))
-    g = inst.graph
-    if config.verify:
-        if not is_clique_partition(g, inst.canonical):
-            raise VerificationFailure("canonical partition failed verification")
-        if not is_frozen_clique_partition(g, inst.frozen):
-            raise VerificationFailure("frozen partition failed verification")
-    if config.fmt == "graph6":
-        _emit(config, encode_graph6(g) + "\n")
-    elif config.fmt == "dimacs":
-        _emit(config, write_dimacs(g))
-    else:
-        payload = {
-            "family": inst.family,
-            "param": inst.param,
-            "graph6": encode_graph6(g),
-            "graph": graph_to_json(g),
-            "theta_partition": inst.canonical.to_json(),
-            "frozen_partition": inst.frozen.to_json(),
-            "expected": dataclasses.asdict(inst.expected),
-        }
-        _emit(config, _dump(payload))
-    return 0
-
-
-def _run_check(config: CommandConfig) -> int:
-    g = read_graph(config.params["graph"], config.fmt)
-    part = read_partition(config.params["partition"], config.params.get("k"))
-    if part.ground != g.n:
-        raise UsageFailure(
-            f"partition covers {part.ground} vertices but the graph has {g.n}"
-        )
-    frozen = config.params.get("frozen", False)
-    clique = config.params.get("clique_partition", False)
-    checker = {
-        (False, False): is_proper_colouring,
-        (False, True): is_clique_partition,
-        (True, False): is_frozen_colouring,
-        (True, True): is_frozen_clique_partition,
-    }[(frozen, clique)]
-    try:
-        ok = checker(g, part)
-        reason = "" if ok else "checker returned false"
-    except ValueError as exc:
-        ok, reason = False, str(exc)
-    label = checker.__name__.removeprefix("is_").replace("_", " ")
-    if ok:
-        _emit(config, f"PASS: {label}\n")
-        return 0
-    _emit(config, f"FAIL: {label}: {reason}\n")
-    return 1
-
-
-def _run_solve(config: CommandConfig) -> int:
-    g = read_graph(config.params["graph"], config.fmt)
-    which = config.params.get("invariant", "all")
-    if which == "all":
-        payload = analyze(g).to_json()
-    else:
-        solver = {
-            "chi": chromatic_number,
-            "theta": clique_cover_number,
-            "alpha": independence_number,
-            "omega": clique_number,
-        }[which]
-        value, witness = solver(g)
-        if config.verify:
-            if which == "chi" and not is_proper_colouring(g, witness):
-                raise VerificationFailure("colouring witness failed verification")
-            if which == "theta" and not is_clique_partition(g, witness):
-                raise VerificationFailure("cover witness failed verification")
-        payload = {
-            which: value,
-            "witness": witness.to_json()
-            if isinstance(witness, BlockPartition)
-            else sorted(witness),
-        }
-    _emit(config, _dump(payload))
-    return 0
-
-
-def _run_reconfig(config: CommandConfig) -> int:
-    g = read_graph(config.params["graph"], config.fmt)
-    k = config.params["k"]
-    cap = config.cap if config.cap is not None else default_cap()
-    report = reconfiguration_components(g, k, colouring_cap=cap)
-    dot_path = config.params.get("dot")
-    if dot_path:
-        Path(dot_path).write_text(reconfiguration_dot(g, k, cap=cap))
-    if config.verify:
-        for p in report.frozen_colourings:
-            if not is_frozen_colouring(g, p):
-                raise VerificationFailure("reported frozen colouring is not frozen")
-    _emit(config, _dump(report.to_json()))
-    return 0
-
-
-def _run_subdivide(config: CommandConfig) -> int:
-    g = read_graph(config.params["graph"], config.fmt)
-    x, y = config.params["x"], config.params["y"]
-    certs_path = config.params.get("certs")
-    if certs_path is None:
+    @functools.wraps(command)
+    def wrapper(*args, **kwargs) -> None:
         try:
-            out = subdivide_edge(g, x, y)
-        except ValueError as exc:
-            raise UsageFailure(str(exc))
-        _emit(config, _dump({"graph6": encode_graph6(out), "graph": graph_to_json(out)}))
-        return 0
-    data = json.loads(_read_text(certs_path))
-    try:
-        q = BlockPartition.from_json(data["clique_partition"])
-        f = BlockPartition.from_json(data["frozen_partition"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise UsageFailure(f"bad certificate file {certs_path}: {exc}")
-    try:
-        result = subdivide_with_certificates(
-            g, q, f, x, y, strict_c4=config.params.get("strict_c4", True)
-        )
-    except ValueError as exc:
-        raise VerificationFailure(str(exc))
-    if config.params.get("theta_check"):
-        result = with_theta_check(result, g, q.k)
-        if result.theta_incremented is False:
-            raise VerificationFailure("cover number did not rise by one")
-    payload = {
-        "graph6": encode_graph6(result.graph_out),
-        "graph": graph_to_json(result.graph_out),
-        "clique_partition": result.q_out.to_json(),
-        "frozen_partition": result.f_out.to_json(),
-        "case_used": result.case_used,
-        "c4_preserved": result.c4_preserved,
-        "theta_incremented": result.theta_incremented,
-    }
-    _emit(config, _dump(payload))
-    return 0
+            code = command(*args, **kwargs)
+        except VerificationFailure as exc:
+            click.echo(f"verification failed: {exc}", err=True)
+            code = 1
+        except CapExceeded as exc:
+            click.echo(f"cap exceeded: {exc}", err=True)
+            code = 2
+        except UsageFailure as exc:
+            click.echo(f"error: {exc}", err=True)
+            code = 2
+        sys.exit(code)
 
-
-def _random_proper(g: Graph, ell: int, rng: random.Random) -> BlockPartition:
-    """Rejection-sampled proper ell-colouring (retries whole assignments)."""
-    for _ in range(10000):
-        cols = []
-        for v in range(g.n):
-            used = {cols[u] for u in g.neighbour_list(v) if u < v}
-            free = [c for c in range(ell) if c not in used]
-            if not free:
-                break
-            cols.append(rng.choice(free))
-        else:
-            return BlockPartition.from_colours(cols, ell)
-    raise UsageFailure(f"could not sample a proper {ell}-colouring")
-
-
-def _run_recolour(config: CommandConfig) -> int:
-    g = read_graph(config.params["graph"], config.fmt)
-    ell = config.params["ell"]
-    sample = config.params.get("sample")
-    pairs: list[tuple[BlockPartition, BlockPartition]] = []
-    if sample:
-        rng = random.Random(config.seed)
-        for _ in range(sample):
-            pairs.append((_random_proper(g, ell, rng), _random_proper(g, ell, rng)))
-    else:
-        try:
-            beta = BlockPartition.from_colour_line(config.params["start"], ell)
-            gamma = BlockPartition.from_colour_line(config.params["target"], ell)
-        except ValueError as exc:
-            raise UsageFailure(f"bad colour line: {exc}")
-        pairs.append((beta, gamma))
-    sequences = []
-    for beta, gamma in pairs:
-        try:
-            seq = path_between(g, beta, gamma, ell)
-        except ValueError as exc:
-            raise UsageFailure(str(exc))
-        if config.verify:
-            stats = verify_moves(g, seq)
-            if not stats.valid or stats.end != gamma:
-                raise VerificationFailure("move sequence failed replay verification")
-        sequences.append(seq.to_json())
-    payload = sequences[0] if len(sequences) == 1 else {"paths": sequences}
-    _emit(config, _dump(payload))
-    return 0
-
-
-def _count_lines(lines, counter: list[int]):
-    for line in lines:
-        counter[0] += 1
-        yield line
-
-
-def _run_search(config: CommandConfig) -> int:
-    sides = {}
-    for flag in ("two_k2_free", "p5_free", "c4_free"):
-        side = config.params.get(flag)
-        if side is not None:
-            sides[flag] = side
-    try:
-        spec = PredicateSpec(
-            gap=config.params.get("gap", 1),
-            max_k=config.params.get("max_k"),
-            **sides,
-        )
-    except ValueError as exc:
-        raise UsageFailure(str(exc))
-    exhaustive_n = config.params.get("exhaustive")
-    if exhaustive_n is not None:
-        try:
-            report = exhaustive_small(exhaustive_n, spec)
-        except ValueError as exc:
-            raise UsageFailure(str(exc))
-    else:
-        stream = config.params.get("stream", "-")
-        text = _read_text(stream)
-        lines = text.splitlines()
-        checkpoint = config.params.get("checkpoint")
-        done = 0
-        if checkpoint and Path(checkpoint).exists():
-            try:
-                done = int(Path(checkpoint).read_text().strip() or 0)
-            except ValueError:
-                raise UsageFailure(f"corrupt checkpoint file {checkpoint}")
-        counter = [0]
-        report = scan_stream(_count_lines(lines[done:], counter), spec)
-        if checkpoint:
-            Path(checkpoint).write_text(f"{done + counter[0]}\n")
-    _emit(config, _dump(report.to_json()))
-    return 0
-
-
-def _run_regen_fixtures(config: CommandConfig) -> int:
-    root = config.params.get("dir", "fixtures")
-    written = regenerate_fixtures(root)
-    _emit(config, f"wrote {len(written)} fixture files under {root}\n")
-    return 0
-
-
-_HANDLERS = {
-    "family": _run_family,
-    "check": _run_check,
-    "solve": _run_solve,
-    "reconfig": _run_reconfig,
-    "subdivide": _run_subdivide,
-    "recolour": _run_recolour,
-    "search": _run_search,
-    "regen-fixtures": _run_regen_fixtures,
-}
-
-
-def run(config: CommandConfig) -> int:
-    """Dispatch one parsed invocation; returns the process exit code."""
-    handler = _HANDLERS.get(config.subcommand)
-    if handler is None:
-        click.echo(f"error: unknown subcommand {config.subcommand!r}", err=True)
-        return 2
-    try:
-        return handler(config)
-    except VerificationFailure as exc:
-        click.echo(f"verification failed: {exc}", err=True)
-        return 1
-    except CapExceeded as exc:
-        click.echo(f"cap exceeded: {exc}", err=True)
-        return 2
-    except UsageFailure as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
-
-
-# -- click wiring --------------------------------------------------------------
-
-
-def _common(params: dict, verify: bool, fmt: str, out: str | None,
-            cap: int | None = None, seed: int = 0) -> CommandConfig:
-    sub = params.pop("_subcommand")
-    return CommandConfig(sub, params, verify=verify, fmt=fmt, out=out, cap=cap, seed=seed)
+    return wrapper
 
 
 verify_option = click.option(
@@ -464,6 +181,12 @@ def main() -> None:
     """Frozen graph colourings: builders, certificates, and searches."""
 
 
+# -- subcommands ---------------------------------------------------------------
+
+
+_FAMILY_ALIASES = {"ME*": "ME_STAR", "MESTAR": "ME_STAR", "ME_STAR": "ME_STAR"}
+
+
 @main.command()
 @click.option("--name", required=True, help="Family name (ME, ME*, KM, KE, B, H, CHAIN).")
 @click.option("--q", "-q", "q", required=True, type=int,
@@ -471,10 +194,40 @@ def main() -> None:
 @verify_option
 @format_option
 @out_option
+@_exit_codes
 def family(name: str, q: int, verify: bool, fmt: str, out: str | None) -> None:
     """Build a family instance with its certificates."""
-    cfg = _common({"_subcommand": "family", "name": name, "q": q}, verify, fmt, out)
-    sys.exit(run(cfg))
+    key = name.upper().replace("-", "_")
+    key = _FAMILY_ALIASES.get(key, key)
+    if key not in BUILDERS:
+        raise UsageFailure(
+            f"unknown family {name!r}; choose from " + ", ".join(sorted(BUILDERS))
+        )
+    try:
+        inst = BUILDERS[key](q)
+    except ValueError as exc:
+        raise UsageFailure(str(exc))
+    g = inst.graph
+    if verify:
+        if not is_clique_partition(g, inst.canonical):
+            raise VerificationFailure("canonical partition failed verification")
+        if not is_frozen_clique_partition(g, inst.frozen):
+            raise VerificationFailure("frozen partition failed verification")
+    if fmt == "graph6":
+        _emit(out, encode_graph6(g) + "\n")
+    elif fmt == "dimacs":
+        _emit(out, write_dimacs(g))
+    else:
+        payload = {
+            "family": inst.family,
+            "param": inst.param,
+            "graph6": encode_graph6(g),
+            "graph": graph_to_json(g),
+            "theta_partition": inst.canonical.to_json(),
+            "frozen_partition": inst.frozen.to_json(),
+            "expected": dataclasses.asdict(inst.expected),
+        }
+        _emit(out, _dump(payload))
 
 
 @main.command()
@@ -486,13 +239,32 @@ def family(name: str, q: int, verify: bool, fmt: str, out: str | None) -> None:
 @click.option("--k", type=int, default=None, help="Block count for colour-line input.")
 @format_option
 @out_option
+@_exit_codes
 def check(graph: str, partition: str, frozen: bool, clique_partition: bool,
-          k: int | None, fmt: str, out: str | None) -> None:
+          k: int | None, fmt: str, out: str | None) -> int | None:
     """Check a partition against a graph; exit 0 iff it passes."""
-    cfg = _common({"_subcommand": "check", "graph": graph, "partition": partition,
-                   "frozen": frozen, "clique_partition": clique_partition, "k": k},
-                  True, fmt, out)
-    sys.exit(run(cfg))
+    g = read_graph(graph, fmt)
+    part = read_partition(partition, k)
+    if part.ground != g.n:
+        raise UsageFailure(
+            f"partition covers {part.ground} vertices but the graph has {g.n}"
+        )
+    checker = {
+        (False, False): is_proper_colouring,
+        (False, True): is_clique_partition,
+        (True, False): is_frozen_colouring,
+        (True, True): is_frozen_clique_partition,
+    }[(frozen, clique_partition)]
+    try:
+        ok = checker(g, part)
+        reason = "" if ok else "checker returned false"
+    except ValueError as exc:
+        ok, reason = False, str(exc)
+    label = checker.__name__.removeprefix("is_").replace("_", " ")
+    if not ok:
+        _emit(out, f"FAIL: {label}: {reason}\n")
+        return 1
+    _emit(out, f"PASS: {label}\n")
 
 
 @main.command()
@@ -503,11 +275,32 @@ def check(graph: str, partition: str, frozen: bool, clique_partition: bool,
 @verify_option
 @format_option
 @out_option
+@_exit_codes
 def solve(graph: str, invariant: str, verify: bool, fmt: str, out: str | None) -> None:
     """Exact invariants with verified witnesses."""
-    cfg = _common({"_subcommand": "solve", "graph": graph, "invariant": invariant},
-                  verify, fmt, out)
-    sys.exit(run(cfg))
+    g = read_graph(graph, fmt)
+    if invariant == "all":
+        payload = analyze(g).to_json()
+    else:
+        solver = {
+            "chi": chromatic_number,
+            "theta": clique_cover_number,
+            "alpha": independence_number,
+            "omega": clique_number,
+        }[invariant]
+        value, witness = solver(g)
+        if verify:
+            if invariant == "chi" and not is_proper_colouring(g, witness):
+                raise VerificationFailure("colouring witness failed verification")
+            if invariant == "theta" and not is_clique_partition(g, witness):
+                raise VerificationFailure("cover witness failed verification")
+        payload = {
+            invariant: value,
+            "witness": witness.to_json()
+            if isinstance(witness, BlockPartition)
+            else sorted(witness),
+        }
+    _emit(out, _dump(payload))
 
 
 @main.command()
@@ -519,12 +312,20 @@ def solve(graph: str, invariant: str, verify: bool, fmt: str, out: str | None) -
 @verify_option
 @format_option
 @out_option
+@_exit_codes
 def reconfig(graph: str, k: int, dot: str | None, cap: int | None, verify: bool,
              fmt: str, out: str | None) -> None:
     """Component structure of the recolouring graph on k colours."""
-    cfg = _common({"_subcommand": "reconfig", "graph": graph, "k": k, "dot": dot},
-                  verify, fmt, out, cap=cap)
-    sys.exit(run(cfg))
+    g = read_graph(graph, fmt)
+    cap = cap if cap is not None else default_cap()
+    report = reconfiguration_components(g, k, colouring_cap=cap)
+    if dot:
+        Path(dot).write_text(reconfiguration_dot(g, k, cap=cap))
+    if verify:
+        for p in report.frozen_colourings:
+            if not is_frozen_colouring(g, p):
+                raise VerificationFailure("reported frozen colouring is not frozen")
+    _emit(out, _dump(report.to_json()))
 
 
 @main.command()
@@ -540,13 +341,60 @@ def reconfig(graph: str, k: int, dot: str | None, cap: int | None, verify: bool,
 @verify_option
 @format_option
 @out_option
+@_exit_codes
 def subdivide(graph: str, x: int, y: int, certs: str | None, strict_c4: bool,
               theta_check: bool, verify: bool, fmt: str, out: str | None) -> None:
     """Subdivide edge xy into a path x-u-v-y, transporting certificates."""
-    cfg = _common({"_subcommand": "subdivide", "graph": graph, "x": x, "y": y,
-                   "certs": certs, "strict_c4": strict_c4, "theta_check": theta_check},
-                  verify, fmt, out)
-    sys.exit(run(cfg))
+    g = read_graph(graph, fmt)
+    if certs is None:
+        try:
+            h = subdivide_edge(g, x, y)
+        except ValueError as exc:
+            raise UsageFailure(str(exc))
+        _emit(out, _dump({"graph6": encode_graph6(h), "graph": graph_to_json(h)}))
+        return
+    data = json.loads(_read_text(certs))
+    try:
+        q = BlockPartition.from_json(data["clique_partition"])
+        f = BlockPartition.from_json(data["frozen_partition"])
+    except (KeyError, ValueError, TypeError) as exc:
+        raise UsageFailure(f"bad certificate file {certs}: {exc}")
+    try:
+        result = subdivide_with_certificates(g, q, f, x, y, strict_c4=strict_c4)
+    except ValueError as exc:
+        raise VerificationFailure(str(exc))
+    if theta_check:
+        result = with_theta_check(result, g, q.k)
+        if result.theta_incremented is False:
+            raise VerificationFailure("cover number did not rise by one")
+    payload = {
+        "graph6": encode_graph6(result.graph_out),
+        "graph": graph_to_json(result.graph_out),
+        "clique_partition": result.q_out.to_json(),
+        "frozen_partition": result.f_out.to_json(),
+        "case_used": result.case_used,
+        "c4_preserved": result.c4_preserved,
+        "theta_incremented": result.theta_incremented,
+    }
+    _emit(out, _dump(payload))
+
+
+def _random_proper(g: Graph, ell: int, rng: random.Random) -> BlockPartition:
+    """Proper ell-colouring drawn vertex by vertex, each from its free colours.
+
+    A vertex with no free colour restarts the draw; the result is not uniform.
+    """
+    for _ in range(10000):
+        cols = []
+        for v in range(g.n):
+            used = {cols[u] for u in g.neighbour_list(v) if u < v}
+            free = [c for c in range(ell) if c not in used]
+            if not free:
+                break
+            cols.append(rng.choice(free))
+        else:
+            return BlockPartition.from_colours(cols, ell)
+    raise UsageFailure(f"could not sample a proper {ell}-colouring")
 
 
 @main.command()
@@ -560,16 +408,39 @@ def subdivide(graph: str, x: int, y: int, certs: str | None, strict_c4: bool,
 @verify_option
 @format_option
 @out_option
+@_exit_codes
 def recolour(graph: str, ell: int, start: str | None, target: str | None,
              sample: int | None, seed: int, verify: bool, fmt: str,
              out: str | None) -> None:
     """Stepwise recolouring between two colourings, replay-verified."""
     if sample is None and (start is None or target is None):
         raise click.UsageError("provide --start and --target, or --sample N")
-    cfg = _common({"_subcommand": "recolour", "graph": graph, "ell": ell,
-                   "start": start, "target": target, "sample": sample},
-                  verify, fmt, out, seed=seed)
-    sys.exit(run(cfg))
+    g = read_graph(graph, fmt)
+    pairs: list[tuple[BlockPartition, BlockPartition]] = []
+    if sample:
+        rng = random.Random(seed)
+        for _ in range(sample):
+            pairs.append((_random_proper(g, ell, rng), _random_proper(g, ell, rng)))
+    else:
+        try:
+            beta = BlockPartition.from_colour_line(start, ell)
+            gamma = BlockPartition.from_colour_line(target, ell)
+        except ValueError as exc:
+            raise UsageFailure(f"bad colour line: {exc}")
+        pairs.append((beta, gamma))
+    sequences = []
+    for beta, gamma in pairs:
+        try:
+            seq = path_between(g, beta, gamma, ell)
+        except ValueError as exc:
+            raise UsageFailure(str(exc))
+        if verify:
+            stats = verify_moves(g, seq)
+            if not stats.valid or stats.end != gamma:
+                raise VerificationFailure("move sequence failed replay verification")
+        sequences.append(seq.to_json())
+    payload = sequences[0] if len(sequences) == 1 else {"paths": sequences}
+    _emit(out, _dump(payload))
 
 
 @main.command()
@@ -588,27 +459,46 @@ def recolour(graph: str, ell: int, start: str | None, target: str | None,
 @click.option("--checkpoint", default=None,
               help="Resumable line-index file for long streams.")
 @out_option
+@_exit_codes
 def search(stream: str | None, exhaustive: int | None, gap: int, max_k: int | None,
            two_k2_free: str | None, p5_free: str | None, c4_free: str | None,
            checkpoint: str | None, out: str | None) -> None:
     """Scan graphs for frozen colourings above the chromatic number."""
     if stream is None and exhaustive is None:
         stream = "-"
-    cfg = _common({"_subcommand": "search", "stream": stream, "exhaustive": exhaustive,
-                   "gap": gap, "max_k": max_k, "two_k2_free": two_k2_free,
-                   "p5_free": p5_free, "c4_free": c4_free, "checkpoint": checkpoint},
-                  True, "auto", out)
-    sys.exit(run(cfg))
+    try:
+        spec = PredicateSpec(gap=gap, max_k=max_k, two_k2_free=two_k2_free,
+                             p5_free=p5_free, c4_free=c4_free)
+    except ValueError as exc:
+        raise UsageFailure(str(exc))
+    if exhaustive is not None:
+        try:
+            report = exhaustive_small(exhaustive, spec)
+        except ValueError as exc:
+            raise UsageFailure(str(exc))
+    else:
+        lines = _read_text(stream).splitlines()
+        done = 0
+        if checkpoint and Path(checkpoint).exists():
+            try:
+                done = int(Path(checkpoint).read_text().strip() or 0)
+            except ValueError:
+                raise UsageFailure(f"corrupt checkpoint file {checkpoint}")
+        report = scan_stream(lines[done:], spec)
+        if checkpoint:
+            Path(checkpoint).write_text(f"{max(done, len(lines))}\n")
+    _emit(out, _dump(report.to_json()))
 
 
 @main.command("regen-fixtures")
 @click.option("--dir", "dir_", default="fixtures", show_default=True,
               help="Directory to write fixture files into.")
 @out_option
+@_exit_codes
 def regen_fixtures(dir_: str, out: str | None) -> None:
     """Rebuild every drawing and table fixture deterministically."""
-    cfg = _common({"_subcommand": "regen-fixtures", "dir": dir_}, True, "auto", out)
-    sys.exit(run(cfg))
+    written = regenerate_fixtures(dir_)
+    _emit(out, f"wrote {len(written)} fixture files under {dir_}\n")
 
 
 if __name__ == "__main__":

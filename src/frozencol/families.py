@@ -23,8 +23,6 @@ from .partitions import (
 )
 from .transform import subdivide_with_certificates
 
-FAMILIES = ("ME", "ME_STAR", "KM", "KE", "KE_CUSTOM", "B", "H", "CHAIN")
-
 
 @dataclass(frozen=True)
 class Expected:

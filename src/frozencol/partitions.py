@@ -116,14 +116,8 @@ def is_proper_colouring(g: Graph, p: BlockPartition) -> bool:
 
 
 def is_clique_partition(g: Graph, p: BlockPartition) -> bool:
-    """True iff every block is a clique of g."""
-    _check_ground(g, p)
-    for mask in p.block_masks():
-        for v in bits(mask):
-            # v must be adjacent to every other vertex of its block.
-            if mask & ~g.rows[v] != 1 << v:
-                return False
-    return True
+    """True iff every block is a clique of g: a proper colouring of its complement."""
+    return is_proper_colouring(complement(g), p)
 
 
 def is_frozen_colouring(g: Graph, p: BlockPartition) -> bool:
@@ -151,18 +145,10 @@ def is_frozen_clique_partition(g: Graph, p: BlockPartition) -> bool:
 
     Dual reading: equals is_frozen_colouring(complement(g), p).
     """
-    if not is_clique_partition(g, p):
+    h = complement(g)
+    if not is_proper_colouring(h, p):
         raise ValueError("not a clique partition")
-    masks = p.block_masks()
-    if any(m == 0 for m in masks):
-        return False
-    for c, mask in enumerate(masks):
-        for v in bits(mask):
-            for d, other in enumerate(masks):
-                # v needs a non-neighbour in every other block.
-                if d != c and not other & ~g.rows[v]:
-                    return False
-    return True
+    return is_frozen_colouring(h, p)
 
 
 def frozen_by_triangles(g: Graph, p: BlockPartition) -> bool:

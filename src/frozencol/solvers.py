@@ -84,21 +84,30 @@ def clique_number(g: Graph, limit: int = DEFAULT_LIMIT) -> tuple[int, set[int]]:
 # -- exact colouring ----------------------------------------------------------
 
 
+def _dsatur_pick(g: Graph, colours: list[int], nbr_colours: list[int]) -> int:
+    """The uncoloured vertex with the most distinct neighbour colours.
+
+    Ties break on the most uncoloured neighbours, then on the lowest index.
+    """
+    v_best, key_best = -1, None
+    for v in range(g.n):
+        if colours[v] != -1:
+            continue
+        sat = nbr_colours[v].bit_count()
+        deg = sum(1 for u in bits(g.rows[v]) if colours[u] == -1)
+        key = (-sat, -deg, v)
+        if key_best is None or key < key_best:
+            v_best, key_best = v, key
+    return v_best
+
+
 def _dsatur_greedy(g: Graph) -> list[int]:
     """Greedy colouring, highest saturation first; an upper bound for chi."""
     n = g.n
     colours = [-1] * n
     nbr_colours = [0] * n
     for _ in range(n):
-        v_best, key_best = -1, None
-        for v in range(n):
-            if colours[v] != -1:
-                continue
-            sat = nbr_colours[v].bit_count()
-            deg = sum(1 for u in bits(g.rows[v]) if colours[u] == -1)
-            key = (-sat, -deg, v)
-            if key_best is None or key < key_best:
-                v_best, key_best = v, key
+        v_best = _dsatur_pick(g, colours, nbr_colours)
         c = 0
         while nbr_colours[v_best] >> c & 1:
             c += 1
@@ -140,16 +149,7 @@ def _try_colouring(g: Graph, k: int, seed: list[int]) -> list[int] | None:
     def extend(done: int, max_used: int) -> bool:
         if done == n:
             return True
-        v_best, key_best = -1, None
-        for v in range(n):
-            if colours[v] != -1:
-                continue
-            sat = nbr_colours[v].bit_count()
-            deg = sum(1 for u in bits(g.rows[v]) if colours[u] == -1)
-            key = (-sat, -deg, v)
-            if key_best is None or key < key_best:
-                v_best, key_best = v, key
-        v = v_best
+        v = _dsatur_pick(g, colours, nbr_colours)
         top = min(k - 1, max_used + 1)
         for c in range(top + 1):
             if nbr_colours[v] >> c & 1:

@@ -1,12 +1,15 @@
 """End-to-end tests for the command line interface."""
 
+import dataclasses
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
-from frozencol.cli import CommandConfig, main, run
+from frozencol import cli
+from frozencol.cli import main
 from frozencol.graph import cycle_graph, decode_graph6, encode_graph6
 from frozencol.partitions import (
     BlockPartition,
@@ -365,5 +368,211 @@ def test_unknown_subcommand_exits_two(runner):
     assert result.exit_code == 2
 
 
-def test_run_rejects_unknown_config():
-    assert run(CommandConfig("bogus")) == 2
+def test_verification_failure_exits_one(runner, c6_path, monkeypatch):
+    monkeypatch.setattr(cli, "is_frozen_colouring", lambda g, p: False)
+    failed = runner.invoke(main, ["reconfig", c6_path, "--k", "3"])
+    assert failed.exit_code == 1
+    assert failed.stderr.startswith("verification failed:")
+    unchecked = runner.invoke(main, ["reconfig", c6_path, "--k", "3", "--no-verify"])
+    assert unchecked.exit_code == 0
+
+
+# -- golden surface -------------------------------------------------------------
+#
+# Every subcommand's exit-0, exit-1 and exit-2 paths, every --help text, and
+# the files the CLI writes, compared byte for byte with tests/golden/cli.json.
+# Exit-1 paths that correct code never reaches are forced by replacing one
+# checker in the cli module with a stub that reports failure.
+# To recapture from a checkout whose output is known good, write
+# json.dumps(_cli_surface(<empty dir>), indent=1, sort_keys=True) + "\n".
+
+GOLDEN_CLI = Path(__file__).resolve().parent / "golden" / "cli.json"
+SUBCOMMANDS = ("family", "check", "solve", "reconfig", "subdivide", "recolour",
+               "search", "regen-fixtures")
+
+
+def _false(*args):
+    return False
+
+
+def _failed_replay(g, seq):
+    return SimpleNamespace(valid=False, end=None)
+
+
+def _theta_not_raised(result, h, k):
+    return dataclasses.replace(result, theta_incremented=False)
+
+
+def _cli_cases(tmp: Path) -> list[tuple]:
+    """(name, argv, stdin, env, patches) for every golden invocation."""
+    c5, c6 = tmp / "c5.g6", tmp / "c6.g6"
+    c5.write_text(encode_graph6(cycle_graph(5)) + "\n")
+    c6.write_text(encode_graph6(cycle_graph(6)) + "\n")
+    (tmp / "bad.g6").write_text("{not a graph\n")
+    (tmp / "c6-2col.txt").write_text("0 1 0 1 0 1\n")
+    (tmp / "c6-flat.txt").write_text("0 0 0 0 0 0\n")
+    (tmp / "short.txt").write_text("0 1 0\n")
+    (tmp / "junk.txt").write_text("0 x 1\n")
+    (tmp / "c5-edges.txt").write_text("0 0 1 1 2\n")
+    left = json.loads(Path(ME2_LEFT).read_text())
+    right = json.loads(Path(ME2_RIGHT).read_text())
+    q = {"k": left["k"], "blocks": left["blocks"]}
+    f = {"k": right["k"], "blocks": right["blocks"]}
+    (tmp / "certs.json").write_text(json.dumps({"clique_partition": q,
+                                                "frozen_partition": f}))
+    singletons = {"k": 10, "blocks": [[v] for v in range(10)]}
+    (tmp / "unfrozen.json").write_text(json.dumps({"clique_partition": q,
+                                                   "frozen_partition": singletons}))
+    (tmp / "nocerts.json").write_text(json.dumps({"clique_partition": q}))
+    stream = "".join(encode_graph6(cycle_graph(n)) + "\n" for n in (4, 5, 6, 7))
+    (tmp / "stream.g6").write_text(stream + "?bogus\n")
+    (tmp / "corrupt.txt").write_text("many\n")
+    s, c5s, c6s = str(tmp / "stream.g6"), str(c5), str(c6)
+    me = ["family", "--name", "ME", "--q", "2"]
+    cases = [("help", ["--help"], None, {}, {})]
+    cases += [(f"{sub}-help", [sub, "--help"], None, {}, {}) for sub in SUBCOMMANDS]
+    cases += [
+        ("bogus", ["bogus"], None, {}, {}),
+        ("family-json", me, None, {}, {}),
+        ("family-graph6", me + ["--format", "graph6"], None, {}, {}),
+        ("family-dimacs", ["family", "--name", "KE", "--q", "1", "--format", "dimacs"],
+         None, {}, {}),
+        ("family-star", ["family", "--name", "ME*", "--q", "2"], None, {}, {}),
+        ("family-out", me + ["--out", str(tmp / "me2.json")], None, {}, {}),
+        ("family-unknown", ["family", "--name", "NOPE", "--q", "2"], None, {}, {}),
+        ("family-bad-q", ["family", "--name", "ME", "--q", "1"], None, {}, {}),
+        ("family-no-q", ["family", "--name", "ME"], None, {}, {}),
+        ("family-canonical-fails", me, None, {}, {"is_clique_partition": _false}),
+        ("family-frozen-fails", me, None, {}, {"is_frozen_clique_partition": _false}),
+        ("family-no-verify", me + ["--no-verify"], None, {},
+         {"is_clique_partition": _false}),
+        ("check-frozen-clique", ["check", ME2_RIGHT, ME2_RIGHT, "--frozen",
+                                 "--clique-partition"], None, {}, {}),
+        ("check-clique", ["check", ME2_LEFT, ME2_LEFT, "--clique-partition"],
+         None, {}, {}),
+        ("check-not-frozen-clique", ["check", c5s, str(tmp / "c5-edges.txt"),
+                                     "--frozen", "--clique-partition"], None, {}, {}),
+        ("check-clique-as-colouring", ["check", ME2_LEFT, ME2_LEFT, "--frozen"],
+         None, {}, {}),
+        ("check-colour-line", ["check", c6s, str(tmp / "c6-2col.txt"), "--k", "2"],
+         None, {}, {}),
+        ("check-not-frozen", ["check", c6s, str(tmp / "c6-2col.txt"), "--k", "3",
+                              "--frozen"], None, {}, {}),
+        ("check-improper", ["check", c6s, str(tmp / "c6-flat.txt")], None, {}, {}),
+        ("check-not-clique", ["check", c6s, str(tmp / "c6-2col.txt"),
+                              "--clique-partition"], None, {}, {}),
+        ("check-frozen-not-clique", ["check", c6s, str(tmp / "c6-2col.txt"),
+                                     "--frozen", "--clique-partition"], None, {}, {}),
+        ("check-size-mismatch", ["check", c5s, str(tmp / "short.txt"), "--k", "2"],
+         None, {}, {}),
+        ("check-absent-graph", ["check", str(tmp / "absent.g6"), ME2_LEFT],
+         None, {}, {}),
+        ("check-bad-graph", ["check", str(tmp / "bad.g6"), ME2_LEFT], None, {}, {}),
+        ("check-bad-partition", ["check", c6s, str(tmp / "junk.txt")], None, {}, {}),
+        ("solve-all", ["solve", ME2_RIGHT], None, {}, {}),
+        ("solve-chi", ["solve", c5s, "--invariant", "chi"], None, {}, {}),
+        ("solve-theta", ["solve", c5s, "--invariant", "theta"], None, {}, {}),
+        ("solve-alpha", ["solve", c5s, "--invariant", "alpha"], None, {}, {}),
+        ("solve-omega-stdin", ["solve", "-", "--invariant", "omega"],
+         encode_graph6(cycle_graph(7)) + "\n", {}, {}),
+        ("solve-chi-fails", ["solve", c5s, "--invariant", "chi"], None, {},
+         {"is_proper_colouring": _false}),
+        ("solve-theta-fails", ["solve", c5s, "--invariant", "theta"], None, {},
+         {"is_clique_partition": _false}),
+        ("solve-bad-invariant", ["solve", c5s, "--invariant", "chrom"], None, {}, {}),
+        ("solve-bad-graph", ["solve", str(tmp / "bad.g6"), "--format", "graph6"],
+         None, {}, {}),
+        ("reconfig", ["reconfig", c6s, "--k", "3"], None, {}, {}),
+        ("reconfig-dot", ["reconfig", c5s, "--k", "3", "--dot", str(tmp / "c5.dot")],
+         None, {}, {}),
+        ("reconfig-fails", ["reconfig", c6s, "--k", "3"], None, {},
+         {"is_frozen_colouring": _false}),
+        ("reconfig-no-verify", ["reconfig", c6s, "--k", "3", "--no-verify"], None, {},
+         {"is_frozen_colouring": _false}),
+        ("reconfig-cap", ["reconfig", c6s, "--k", "3", "--cap", "5"], None, {}, {}),
+        ("reconfig-cap-env", ["reconfig", c6s, "--k", "3"], None,
+         {"FROZENCOL_CAP": "5"}, {}),
+        ("reconfig-cap-beats-env", ["reconfig", c6s, "--k", "3", "--cap", "100"],
+         None, {"FROZENCOL_CAP": "5"}, {}),
+        ("reconfig-bad-env", ["reconfig", c6s, "--k", "3"], None,
+         {"FROZENCOL_CAP": "many"}, {}),
+        ("reconfig-zero-env", ["reconfig", c6s, "--k", "3"], None,
+         {"FROZENCOL_CAP": "0"}, {}),
+        ("subdivide", ["subdivide", c5s, "--x", "0", "--y", "1"], None, {}, {}),
+        ("subdivide-certs", ["subdivide", ME2_RIGHT, "--x", "7", "--y", "8",
+                             "--certs", str(tmp / "certs.json"), "--theta-check"],
+         None, {}, {}),
+        ("subdivide-theta-fails", ["subdivide", ME2_RIGHT, "--x", "7", "--y", "8",
+                                   "--certs", str(tmp / "certs.json"), "--theta-check"],
+         None, {}, {"with_theta_check": _theta_not_raised}),
+        ("subdivide-unfrozen-certs", ["subdivide", ME2_RIGHT, "--x", "7", "--y", "8",
+                                      "--certs", str(tmp / "unfrozen.json")],
+         None, {}, {}),
+        ("subdivide-missing-cert", ["subdivide", ME2_RIGHT, "--x", "7", "--y", "8",
+                                    "--certs", str(tmp / "nocerts.json")], None, {}, {}),
+        ("subdivide-non-edge", ["subdivide", c5s, "--x", "0", "--y", "2"],
+         None, {}, {}),
+        ("recolour", ["recolour", c5s, "--ell", "4", "--start", "0 1 0 1 2",
+                      "--target", "1 0 1 0 2"], None, {}, {}),
+        ("recolour-sample", ["recolour", c5s, "--ell", "4", "--sample", "3",
+                             "--seed", "7"], None, {}, {}),
+        ("recolour-fails", ["recolour", c5s, "--ell", "4", "--sample", "1"], None, {},
+         {"verify_moves": _failed_replay}),
+        ("recolour-out-of-scope", ["recolour", c6s, "--ell", "4", "--sample", "1"],
+         None, {}, {}),
+        ("recolour-no-endpoints", ["recolour", c5s, "--ell", "4"], None, {}, {}),
+        ("recolour-improper", ["recolour", c5s, "--ell", "4", "--start", "0 0 0 0 0",
+                               "--target", "0 1 0 1 2"], None, {}, {}),
+        ("recolour-bad-line", ["recolour", c5s, "--ell", "4", "--start", "0 x",
+                               "--target", "0 1 0 1 2"], None, {}, {}),
+        ("search-stdin", ["search"], stream, {}, {}),
+        ("search-stream", ["search", "--stream", s, "--max-k", "4"], None, {}, {}),
+        ("search-filter", ["search", "--stream", s, "--two-k2-free", "complement",
+                           "--c4-free", "graph", "--p5-free", "complement"],
+         None, {}, {}),
+        ("search-checkpoint-1", ["search", "--stream", s, "--checkpoint",
+                                 str(tmp / "mark.txt")], None, {}, {}),
+        ("search-checkpoint-2", ["search", "--stream", s, "--checkpoint",
+                                 str(tmp / "mark.txt")], None, {}, {}),
+        ("search-corrupt-checkpoint", ["search", "--stream", s, "--checkpoint",
+                                       str(tmp / "corrupt.txt")], None, {}, {}),
+        ("search-exhaustive", ["search", "--exhaustive", "3"], None, {}, {}),
+        ("search-exhaustive-cap", ["search", "--exhaustive", "9"], None, {}, {}),
+        ("search-bad-gap", ["search", "--stream", s, "--gap", "0"], None, {}, {}),
+        ("search-absent-stream", ["search", "--stream", str(tmp / "absent.g6")],
+         None, {}, {}),
+        ("regen-fixtures", ["regen-fixtures", "--dir", str(tmp / "fx")], None, {}, {}),
+    ]
+    return cases
+
+
+def _cli_surface(tmp: Path) -> dict:
+    """Run every golden case; return its outputs with temporary paths masked."""
+    runner = CliRunner()
+
+    def mask(text: str) -> str:
+        return text.replace(str(tmp), "<tmp>").replace(str(FIXTURE_ROOT), "<fixtures>")
+
+    surface = {}
+    for name, argv, stdin, env, patches in _cli_cases(tmp):
+        with pytest.MonkeyPatch.context() as mp:
+            for attr, stub in patches.items():
+                mp.setattr(cli, attr, stub)
+            result = runner.invoke(main, argv, input=stdin,
+                                   env={"FROZENCOL_CAP": None, **env},
+                                   terminal_width=80)
+        surface[name] = {"exit_code": result.exit_code,
+                         "stdout": mask(result.stdout), "stderr": mask(result.stderr)}
+        if name.startswith("search-checkpoint"):
+            surface[name]["checkpoint"] = (tmp / "mark.txt").read_text()
+    surface["reconfig-dot"]["dot"] = (tmp / "c5.dot").read_text()
+    surface["family-out"]["file"] = (tmp / "me2.json").read_text()
+    return surface
+
+
+def test_cli_surface_matches_golden(tmp_path):
+    golden = json.loads(GOLDEN_CLI.read_text())
+    surface = _cli_surface(tmp_path)
+    assert sorted(surface) == sorted(golden)
+    for name in golden:
+        assert surface[name] == golden[name], name
