@@ -85,6 +85,13 @@ def _read_text(path: str) -> str:
         raise UsageFailure(f"cannot read {path}: {exc}")
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise UsageFailure(f"cannot write {path}: {exc}")
+
+
 def _sniff_format(path: str, text: str) -> str:
     suffix = Path(path).suffix.lower()
     if suffix in (".g6", ".graph6"):
@@ -134,7 +141,7 @@ def _emit(out: str | None, text: str) -> None:
     if out is None or out == "-":
         click.echo(text, nl=not text.endswith("\n"))
     else:
-        Path(out).write_text(text)
+        _write_text(out, text)
 
 
 def _dump(payload: dict) -> str:
@@ -320,7 +327,7 @@ def reconfig(graph: str, k: int, dot: str | None, cap: int | None, verify: bool,
     cap = cap if cap is not None else default_cap()
     report = reconfiguration_components(g, k, colouring_cap=cap)
     if dot:
-        Path(dot).write_text(reconfiguration_dot(g, k, cap=cap))
+        _write_text(dot, reconfiguration_dot(g, k, cap=cap))
     if verify:
         for p in report.frozen_colourings:
             if not is_frozen_colouring(g, p):
@@ -353,8 +360,9 @@ def subdivide(graph: str, x: int, y: int, certs: str | None, strict_c4: bool,
             raise UsageFailure(str(exc))
         _emit(out, _dump({"graph6": encode_graph6(h), "graph": graph_to_json(h)}))
         return
-    data = json.loads(_read_text(certs))
+    text = _read_text(certs)
     try:
+        data = json.loads(text)
         q = BlockPartition.from_json(data["clique_partition"])
         f = BlockPartition.from_json(data["frozen_partition"])
     except (KeyError, ValueError, TypeError) as exc:
@@ -486,7 +494,7 @@ def search(stream: str | None, exhaustive: int | None, gap: int, max_k: int | No
                 raise UsageFailure(f"corrupt checkpoint file {checkpoint}")
         report = scan_stream(lines[done:], spec)
         if checkpoint:
-            Path(checkpoint).write_text(f"{max(done, len(lines))}\n")
+            _write_text(checkpoint, f"{max(done, len(lines))}\n")
     _emit(out, _dump(report.to_json()))
 
 

@@ -46,7 +46,12 @@ class BlockPartition:
             if not 0 <= c < k:
                 raise ValueError(f"colour {c} of vertex {v} outside 0..{k - 1}")
             blocks[c].append(v)
-        return cls(blocks)
+        # disjoint and covering 0..n-1 by construction: no need for __init__'s pass
+        p = object.__new__(cls)
+        object.__setattr__(p, "k", k)
+        object.__setattr__(p, "blocks", tuple(map(frozenset, blocks)))
+        object.__setattr__(p, "ground", len(colours))
+        return p
 
     @classmethod
     def from_colour_line(cls, line: str, k: int | None = None) -> "BlockPartition":

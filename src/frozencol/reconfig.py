@@ -15,7 +15,7 @@ from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import Graph, bits
 from .partitions import BlockPartition, is_frozen_colouring, is_proper_colouring
 from .solvers import chromatic_number
 
@@ -302,12 +302,30 @@ def _distances(adj: list[list[int]], s: int) -> dict[int, int]:
 
 
 def find_frozen(g: Graph, k: int) -> BlockPartition | None:
-    """Search for a frozen k-colouring without enumerating R_k.
+    """The lex-first restricted-growth frozen k-colouring of g, or None.
 
-    Backtracking over vertices in index order, colours in first-appearance
-    order. Prunes on properness, on classes that can no longer all be used,
-    and on vertices whose remaining unassigned neighbours cannot cover the
-    colours still missing around them.
+    A proper k-colouring is frozen iff every vertex sees the other k-1
+    colours, that is iff every colour class is an independent dominating
+    set (a fall colouring). Backtracking colours vertices in index order,
+    colours in first-appearance order, so the first leaf is the witness:
+    the lexicographically first frozen colour vector whose colours appear
+    in order 0, 1, 2, ... Every prune is sound, so pruning never changes it:
+
+    - properness: a vertex takes no colour of a coloured neighbour;
+    - growth: the vertices left must still open every unused colour;
+    - full neighbourhood: an uncoloured vertex that already sees all k
+      colours has none left;
+    - count: a vertex needs as many uncoloured neighbours as colours it
+      still misses;
+    - dominance: each used class, with the uncoloured vertices that have
+      no neighbour in it, must dominate V, and while a colour is unopened
+      the uncoloured vertices must dominate V.
+
+    After a move v -> c only the closed neighbourhoods that lost a
+    dominator are tested: those in N[v] for the classes other than c (v
+    left them), those within distance two of v for c (its uncoloured
+    neighbours left it). Seen colours and counts are packed one field per
+    vertex, as in `_Packing.walk`, and each depth keeps a snapshot.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -317,63 +335,124 @@ def find_frozen(g: Graph, k: int) -> BlockPartition | None:
     if n == 0 or k > n:
         return None
     # a frozen vertex sees all other k-1 colours among its neighbours
-    if any(g.degree(v) < k - 1 for v in range(n)):
+    rows = g.rows
+    degrees = [r.bit_count() for r in rows]
+    if min(degrees) < k - 1:
         return None
-    full = (1 << k) - 1
-    nbrs = [g.neighbour_list(v) for v in range(n)]
-    cols = [-1] * n
-    seen = [0] * n  # colours among assigned neighbours, as a bitmask
-    cnt = [[0] * k for _ in range(n)]  # per-colour assigned-neighbour counts
-    pending = [len(nbrs[v]) for v in range(n)]
+    full, everyone = (1 << k) - 1, (1 << n) - 1
+    closed = [r | 1 << v for v, r in enumerate(rows)]
+    # vertex u owns `width` bits from width*u: its seen colours (bits 0..k-1,
+    # guard bit k) in one int, |seen| + uncoloured neighbours in another,
+    # whose top field bit is set by adding `lack` iff that sum is >= k-1
+    width = max(k + 1, (max(degrees) + 1).bit_length() + 1)
+    ones = sum(1 << width * v for v in range(n))
+    guards, tops = ones << k, ones << width - 1
+    lack = ones * ((1 << width - 1) - (k - 1))
+    later = [everyone >> v + 1 << v + 1 for v in range(n)]
+    # uncovered[v]: the vertices after v do not dominate V, so every colour
+    # must be open once v is coloured
+    uncovered, cover = [False] * n, 0
+    for v in range(n - 1, -1, -1):
+        uncovered[v] = cover != everyone
+        cover |= closed[v]
+    # D dominates every x of a set X iff ((D*spread & adj) + fill) & guard ==
+    # guard: D*spread holds a copy of D in each (n+1)-bit row, adj masks row
+    # x to N[x] for x in X, and fill carries into the guard bit of a nonzero
+    # row. X*stride & spread puts bit x of X alone in row x, without carries.
+    stride = sum(1 << n * j for j in range(n))
+    spread = sum(1 << (n + 1) * x for x in range(n))
+    adj_all = sum(c << (n + 1) * x for x, c in enumerate(closed))
 
-    def feasible(v: int) -> bool:
-        # colours still missing around v must fit in its unassigned neighbours
-        missing = full & ~seen[v] & ~(1 << cols[v])
-        return missing.bit_count() <= pending[v]
+    def probe(xs: int) -> tuple[int, int, int]:
+        low = xs * stride & spread
+        fill = (low << n) - low
+        return adj_all & fill, fill, low << n
 
-    def rec(v: int, used: int) -> BlockPartition | None:
-        if v == n:
-            part = BlockPartition.from_colours(cols, k)
-            assert is_frozen_colouring(g, part)
-            return part
-        top = min(k - 1, used)
-        for c in range(top + 1):
-            if seen[v] >> c & 1:
+    # per-vertex tables, built when the search first reaches the vertex:
+    # v's neighbours packed, and the probes of N[v] and of its 2-ball
+    nbr_bits: list[int] = []
+    near: list[tuple[int, int, int]] = []
+    ball: list[tuple[int, int, int]] = []
+
+    cls = [0] * k  # the vertices coloured c
+    hit = [0] * k  # the vertices with a neighbour coloured c
+    cols, saved, avail = [0] * n, [0] * n, [0] * n
+    seen, count, used = [0] * n, [0] * n, [0] * n  # state before each depth
+    count[0] = sum(d << width * u for u, d in enumerate(degrees))
+    v = 0
+    while True:
+        if v == len(nbr_bits):
+            packed, two, r = 0, closed[v], rows[v]
+            while r:
+                b = r & -r
+                r ^= b
+                x = b.bit_length() - 1
+                packed |= 1 << width * x
+                two |= closed[x]
+            nbr_bits.append(packed)
+            near.append(probe(closed[v]))
+            ball.append(probe(two))
+        # the colours v may take, from what depends on v alone
+        s, u, rest = seen[v], used[v], later[v]
+        late = n - 1 - v
+        cand = 0
+        if k - u <= late and (u == k or not uncovered[v]):
+            cand = (1 << u) - 1
+        if u < k and k - u - 1 <= late and (u + 1 == k or not uncovered[v]):
+            cand |= 1 << u
+        free = ~(s >> width * v) & full
+        cand &= free
+        # v leaves every open class it could join: all but one must survive
+        opened = free & ((1 << u) - 1)
+        adj, fill, guard = near[v]
+        while opened and cand:
+            b = opened & -opened
+            opened ^= b
+            c = b.bit_length() - 1
+            d = cls[c] | rest & ~hit[c]
+            if ((d * spread & adj) + fill) & guard != guard:
+                cand &= b
+        avail[v] = cand
+
+        while True:
+            a = avail[v]
+            if not a:
+                if v == 0:
+                    return None
+                v -= 1
+                c = cols[v]
+                cls[c] ^= 1 << v
+                hit[c] = saved[v]
                 continue
-            now_used = used + (1 if c == used else 0)
-            if k - now_used > n - v - 1:
+            b = a & -a
+            avail[v] = a ^ b
+            c = b.bit_length() - 1
+            s, rest, nbrs = seen[v], later[v], rows[v]
+            nb = nbr_bits[v] << c
+            s2 = s | nb
+            if (s2 + ones) & guards:  # an uncoloured vertex sees every colour
                 continue
+            q = count[v] - ((nb & s) >> c)
+            if (q + lack) & tops != tops:  # a vertex cannot see k-1 colours
+                continue
+            h = hit[c]
+            if nbrs & rest & ~h:  # uncoloured neighbours leave class c's dominators
+                d = cls[c] | 1 << v | rest & ~(h | nbrs)
+                adj, fill, guard = ball[v]
+                if ((d * spread & adj) + fill) & guard != guard:
+                    continue
             cols[v] = c
-            bit = 1 << c
-            ok = True
-            for u in nbrs[v]:
-                pending[u] -= 1
-                cnt[u][c] += 1
-                seen[u] |= bit
-            if not feasible(v):
-                ok = False
-            else:
-                for u in nbrs[v]:
-                    if cols[u] >= 0:
-                        if not feasible(u):
-                            ok = False
-                            break
-                    elif seen[u] == full:
-                        ok = False
-                        break
-            if ok:
-                found = rec(v + 1, now_used)
-                if found is not None:
-                    return found
-            for u in nbrs[v]:
-                pending[u] += 1
-                cnt[u][c] -= 1
-                if cnt[u][c] == 0:
-                    seen[u] &= ~bit
-            cols[v] = -1
-        return None
-
-    return rec(0, 0)
+            cls[c] |= 1 << v
+            saved[v] = h
+            hit[c] = h | nbrs
+            if v == n - 1:
+                part = BlockPartition.from_colours(cols, k)
+                assert is_frozen_colouring(g, part)
+                return part
+            v += 1
+            seen[v], count[v] = s2, q
+            used[v] = used[v - 1] + (c == used[v - 1])
+            break
 
 
 def recolourable_up_to(

@@ -124,20 +124,30 @@ def _passes_filters(g: Graph, spec: PredicateSpec) -> bool:
     return True
 
 
-def _graph_hits(g: Graph, spec: PredicateSpec) -> list[Hit]:
+def _frozen_above_chi(
+    g: Graph, gap: int, max_k: int | None
+) -> tuple[int, list[tuple[int, BlockPartition]]]:
+    """chi(g) and the verified frozen k-colourings for k from chi+gap to max_k.
+
+    max_k None means chi+gap alone. A frozen colouring uses all k classes and
+    a frozen vertex sees the other k-1 colours, so k stops at min(n, delta+1).
+    """
     chi, _ = chromatic_number(g)
-    low = chi + spec.gap
-    high = low if spec.max_k is None else spec.max_k
-    out = []
-    for k in range(low, high + 1):
-        if k > g.n:
-            break  # a frozen colouring uses all k classes: impossible past n
+    low = chi + gap
+    high = low if max_k is None else max_k
+    top = min(high, g.n, min((g.degree(v) for v in range(g.n)), default=0) + 1)
+    found = []
+    for k in range(low, top + 1):
         witness = find_frozen(g, k)
-        if witness is None:
-            continue
-        assert is_frozen_colouring(g, witness)
-        out.append(Hit(encode_graph6(g), chi, k, witness.to_colour_line()))
-    return out
+        if witness is not None:
+            assert is_frozen_colouring(g, witness)
+            found.append((k, witness))
+    return chi, found
+
+
+def _graph_hits(g: Graph, spec: PredicateSpec) -> list[Hit]:
+    chi, found = _frozen_above_chi(g, spec.gap, spec.max_k)
+    return [Hit(encode_graph6(g), chi, k, w.to_colour_line()) for k, w in found]
 
 
 def _deduplicate(hits: list[Hit]) -> tuple[list[Hit], int]:
@@ -214,13 +224,4 @@ def exhaustive_small(n_max: int, spec: PredicateSpec) -> SearchReport:
 
 def frozen_gap_finder(g: Graph, max_k: int) -> list[tuple[int, BlockPartition]]:
     """All k in chi+1..max_k admitting a frozen k-colouring, with witnesses."""
-    chi, _ = chromatic_number(g)
-    out = []
-    for k in range(chi + 1, max_k + 1):
-        if k > g.n:
-            break
-        witness = find_frozen(g, k)
-        if witness is not None:
-            assert is_frozen_colouring(g, witness)
-            out.append((k, witness))
-    return out
+    return _frozen_above_chi(g, 1, max_k)[1]

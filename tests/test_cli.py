@@ -368,6 +368,37 @@ def test_unknown_subcommand_exits_two(runner):
     assert result.exit_code == 2
 
 
+def test_certificate_file_that_is_not_json_exits_two(runner, c5_path, tmp_path):
+    certs = tmp_path / "certs.json"
+    certs.write_text("not json\n")
+    result = runner.invoke(main, ["subdivide", c5_path, "--x", "0", "--y", "1",
+                                  "--certs", str(certs)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+
+
+def test_out_into_missing_directory_exits_two(runner, c5_path, tmp_path):
+    result = runner.invoke(main, ["solve", c5_path, "--invariant", "chi",
+                                  "--out", str(tmp_path / "missing" / "chi.json")])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+
+
+def test_dot_into_missing_directory_exits_two(runner, c5_path, tmp_path):
+    result = runner.invoke(main, ["reconfig", c5_path, "--k", "3",
+                                  "--dot", str(tmp_path / "missing" / "moves.dot")])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+
+
+def test_checkpoint_into_missing_directory_exits_two(runner, tmp_path):
+    line = encode_graph6(cycle_graph(6)) + "\n"
+    result = runner.invoke(main, ["search", "--stream", "-", "--checkpoint",
+                                  str(tmp_path / "missing" / "mark.txt")], input=line)
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+
+
 def test_verification_failure_exits_one(runner, c6_path, monkeypatch):
     monkeypatch.setattr(cli, "is_frozen_colouring", lambda g, p: False)
     failed = runner.invoke(main, ["reconfig", c6_path, "--k", "3"])

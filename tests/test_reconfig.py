@@ -338,6 +338,123 @@ def test_find_frozen_agrees_with_explicit_search(seed, k):
         assert is_frozen_colouring(g, found)
 
 
+def _reference_find_frozen(g, k):
+    """The plain frozen-colouring DFS: properness, growth and count prunes only."""
+    n = g.n
+    if k == 0:
+        return BlockPartition([]) if n == 0 else None
+    if n == 0 or k > n:
+        return None
+    if any(g.degree(v) < k - 1 for v in range(n)):
+        return None
+    full = (1 << k) - 1
+    nbrs = [g.neighbour_list(v) for v in range(n)]
+    cols = [-1] * n
+    seen = [0] * n  # colours among assigned neighbours, as a bitmask
+    cnt = [[0] * k for _ in range(n)]  # per-colour assigned-neighbour counts
+    pending = [len(nbrs[v]) for v in range(n)]
+
+    def feasible(v):
+        missing = full & ~seen[v] & ~(1 << cols[v])
+        return missing.bit_count() <= pending[v]
+
+    def rec(v, used):
+        if v == n:
+            return BlockPartition.from_colours(cols, k)
+        for c in range(min(k - 1, used) + 1):
+            if seen[v] >> c & 1:
+                continue
+            now_used = used + (1 if c == used else 0)
+            if k - now_used > n - v - 1:
+                continue
+            cols[v] = c
+            bit = 1 << c
+            ok = True
+            for u in nbrs[v]:
+                pending[u] -= 1
+                cnt[u][c] += 1
+                seen[u] |= bit
+            if not feasible(v):
+                ok = False
+            else:
+                for u in nbrs[v]:
+                    if cols[u] >= 0:
+                        if not feasible(u):
+                            ok = False
+                            break
+                    elif seen[u] == full:
+                        ok = False
+                        break
+            if ok:
+                found = rec(v + 1, now_used)
+                if found is not None:
+                    return found
+            for u in nbrs[v]:
+                pending[u] += 1
+                cnt[u][c] -= 1
+                if cnt[u][c] == 0:
+                    seen[u] &= ~bit
+            cols[v] = -1
+        return None
+
+    return rec(0, 0)
+
+
+def _graphs_up_to(max_n):
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.integers(0, (1 << n * (n - 1) // 2) - 1).map(
+            lambda mask: graph_from_edges(n, [
+                e for i, e in enumerate(itertools.combinations(range(n), 2)) if mask >> i & 1
+            ])
+        )
+    )
+
+
+@given(_graphs_up_to(8))
+@settings(max_examples=300, deadline=None)
+def test_find_frozen_returns_the_reference_witness(g):
+    for k in range(g.n + 2):
+        found, expected = find_frozen(g, k), _reference_find_frozen(g, k)
+        assert (found and found.to_colour_line()) == (expected and expected.to_colour_line())
+
+
+@given(_graphs_up_to(9), st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_witness_classes_are_maximal_independent_sets(g, k):
+    found = find_frozen(g, k)
+    if found is None:
+        return
+    everyone = (1 << g.n) - 1
+    for mask in found.block_masks():
+        assert mask and not any(g.rows[v] & mask for v in range(g.n) if mask >> v & 1)
+        dominated = mask
+        for v in range(g.n):
+            if mask >> v & 1:
+                dominated |= g.rows[v]
+        assert dominated == everyone
+
+
+def test_find_frozen_on_disjoint_triangles():
+    g = graph_from_edges(30, [(3 * i + a, 3 * i + b) for i in range(10)
+                              for a, b in ((0, 1), (0, 2), (1, 2))])
+    assert find_frozen(g, 2) is None
+    assert find_frozen(g, 3).to_colour_line() == " ".join(["0 1 2"] * 10)
+
+
+def test_find_frozen_on_long_cycles():
+    assert find_frozen(cycle_graph(30), 3).to_colour_line() == " ".join(["0 1 2"] * 10)
+    assert find_frozen(cycle_graph(31), 3) is None
+
+
+def test_find_frozen_on_complete_multipartite():
+    part = [0, 1, 2, 1, 2, 2, 0, 1, 2]  # K_{2,3,4}: the parts are the only frozen classes
+    g = graph_from_edges(9, [(u, v) for u, v in itertools.combinations(range(9), 2)
+                             if part[u] != part[v]])
+    assert find_frozen(g, 3).to_colours() == part
+    assert find_frozen(g, 2) is None
+    assert find_frozen(g, 4) is None
+
+
 # -- bounded recolourability probe ---------------------------------------------------
 
 
