@@ -1,8 +1,9 @@
 """Command-line surface: build families, check certificates, solve, explore.
 
 Exit codes separate mathematics from plumbing: 0 means every requested check
-passed, 1 means a certificate or bound failed verification, 2 means the
-request itself was unusable (unknown input, malformed file, cap exceeded).
+passed, 1 means a certificate or bound failed verification (a CertificateError
+from the CLI's own checks or the library's), 2 means the request itself was
+unusable (unknown input, malformed file, a library ValueError, cap exceeded).
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ import click
 from .families import BUILDERS
 from .fixtures import regenerate_fixtures
 from .graph import (
+    CertificateError,
     Graph,
     decode_graph6,
     encode_graph6,
     graph_from_json,
     graph_to_json,
     read_dimacs,
+    require,
     write_dimacs,
 )
 from .partitions import (
@@ -57,10 +60,6 @@ ENV_CAP = "FROZENCOL_CAP"
 
 class UsageFailure(Exception):
     """Operationally wrong request: bad file, bad format, exceeded cap."""
-
-
-class VerificationFailure(Exception):
-    """Mathematically false claim: a certificate or bound did not check."""
 
 
 def default_cap() -> int:
@@ -151,20 +150,20 @@ def _dump(payload: dict) -> str:
 def _exit_codes(command):
     """Run a command body and exit with the code it returns (None means 0).
 
-    VerificationFailure exits 1; CapExceeded and UsageFailure exit 2.
+    CertificateError exits 1; CapExceeded, UsageFailure and ValueError exit 2.
     """
 
     @functools.wraps(command)
     def wrapper(*args, **kwargs) -> None:
         try:
             code = command(*args, **kwargs)
-        except VerificationFailure as exc:
+        except CertificateError as exc:
             click.echo(f"verification failed: {exc}", err=True)
             code = 1
         except CapExceeded as exc:
             click.echo(f"cap exceeded: {exc}", err=True)
             code = 2
-        except UsageFailure as exc:
+        except (UsageFailure, ValueError) as exc:
             click.echo(f"error: {exc}", err=True)
             code = 2
         sys.exit(code)
@@ -210,16 +209,13 @@ def family(name: str, q: int, verify: bool, fmt: str, out: str | None) -> None:
         raise UsageFailure(
             f"unknown family {name!r}; choose from " + ", ".join(sorted(BUILDERS))
         )
-    try:
-        inst = BUILDERS[key](q)
-    except ValueError as exc:
-        raise UsageFailure(str(exc))
+    inst = BUILDERS[key](q)
     g = inst.graph
     if verify:
-        if not is_clique_partition(g, inst.canonical):
-            raise VerificationFailure("canonical partition failed verification")
-        if not is_frozen_clique_partition(g, inst.frozen):
-            raise VerificationFailure("frozen partition failed verification")
+        require(is_clique_partition(g, inst.canonical),
+                "canonical partition failed verification")
+        require(is_frozen_clique_partition(g, inst.frozen),
+                "frozen partition failed verification")
     if fmt == "graph6":
         _emit(out, encode_graph6(g) + "\n")
     elif fmt == "dimacs":
@@ -296,11 +292,10 @@ def solve(graph: str, invariant: str, verify: bool, fmt: str, out: str | None) -
             "omega": clique_number,
         }[invariant]
         value, witness = solver(g)
-        if verify:
-            if invariant == "chi" and not is_proper_colouring(g, witness):
-                raise VerificationFailure("colouring witness failed verification")
-            if invariant == "theta" and not is_clique_partition(g, witness):
-                raise VerificationFailure("cover witness failed verification")
+        if verify and invariant == "chi":
+            require(is_proper_colouring(g, witness), "colouring witness failed verification")
+        if verify and invariant == "theta":
+            require(is_clique_partition(g, witness), "cover witness failed verification")
         payload = {
             invariant: value,
             "witness": witness.to_json()
@@ -329,9 +324,8 @@ def reconfig(graph: str, k: int, dot: str | None, cap: int | None, verify: bool,
     if dot:
         _write_text(dot, reconfiguration_dot(g, k, cap=cap))
     if verify:
-        for p in report.frozen_colourings:
-            if not is_frozen_colouring(g, p):
-                raise VerificationFailure("reported frozen colouring is not frozen")
+        require(all(is_frozen_colouring(g, p) for p in report.frozen_colourings),
+                "reported frozen colouring is not frozen")
     _emit(out, _dump(report.to_json()))
 
 
@@ -354,10 +348,7 @@ def subdivide(graph: str, x: int, y: int, certs: str | None, strict_c4: bool,
     """Subdivide edge xy into a path x-u-v-y, transporting certificates."""
     g = read_graph(graph, fmt)
     if certs is None:
-        try:
-            h = subdivide_edge(g, x, y)
-        except ValueError as exc:
-            raise UsageFailure(str(exc))
+        h = subdivide_edge(g, x, y)
         _emit(out, _dump({"graph6": encode_graph6(h), "graph": graph_to_json(h)}))
         return
     text = _read_text(certs)
@@ -369,12 +360,11 @@ def subdivide(graph: str, x: int, y: int, certs: str | None, strict_c4: bool,
         raise UsageFailure(f"bad certificate file {certs}: {exc}")
     try:
         result = subdivide_with_certificates(g, q, f, x, y, strict_c4=strict_c4)
-    except ValueError as exc:
-        raise VerificationFailure(str(exc))
+    except ValueError as exc:  # the supplied certificates are false: exit 1, not 2
+        raise CertificateError(str(exc))
     if theta_check:
         result = with_theta_check(result, g, q.k)
-        if result.theta_incremented is False:
-            raise VerificationFailure("cover number did not rise by one")
+        require(result.theta_incremented is not False, "cover number did not rise by one")
     payload = {
         "graph6": encode_graph6(result.graph_out),
         "graph": graph_to_json(result.graph_out),
@@ -438,14 +428,11 @@ def recolour(graph: str, ell: int, start: str | None, target: str | None,
         pairs.append((beta, gamma))
     sequences = []
     for beta, gamma in pairs:
-        try:
-            seq = path_between(g, beta, gamma, ell)
-        except ValueError as exc:
-            raise UsageFailure(str(exc))
+        seq = path_between(g, beta, gamma, ell)
         if verify:
             stats = verify_moves(g, seq)
-            if not stats.valid or stats.end != gamma:
-                raise VerificationFailure("move sequence failed replay verification")
+            require(stats.valid and stats.end == gamma,
+                    "move sequence failed replay verification")
         sequences.append(seq.to_json())
     payload = sequences[0] if len(sequences) == 1 else {"paths": sequences}
     _emit(out, _dump(payload))
@@ -474,16 +461,10 @@ def search(stream: str | None, exhaustive: int | None, gap: int, max_k: int | No
     """Scan graphs for frozen colourings above the chromatic number."""
     if stream is None and exhaustive is None:
         stream = "-"
-    try:
-        spec = PredicateSpec(gap=gap, max_k=max_k, two_k2_free=two_k2_free,
-                             p5_free=p5_free, c4_free=c4_free)
-    except ValueError as exc:
-        raise UsageFailure(str(exc))
+    spec = PredicateSpec(gap=gap, max_k=max_k, two_k2_free=two_k2_free,
+                         p5_free=p5_free, c4_free=c4_free)
     if exhaustive is not None:
-        try:
-            report = exhaustive_small(exhaustive, spec)
-        except ValueError as exc:
-            raise UsageFailure(str(exc))
+        report = exhaustive_small(exhaustive, spec)
     else:
         lines = _read_text(stream).splitlines()
         done = 0

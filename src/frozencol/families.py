@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, find_induced, graph_from_edges
+from .graph import Graph, find_induced, graph_from_edges, require
 from .partitions import (
     BlockPartition,
     is_clique_partition,
@@ -48,19 +48,17 @@ class FamilyInstance:
 
 def _verified(inst: FamilyInstance) -> FamilyInstance:
     g, exp = inst.graph, inst.expected
-    assert g.n == exp.n, f"order {g.n} != expected {exp.n}"
-    assert g.edge_count == exp.edges, f"edges {g.edge_count} != expected {exp.edges}"
-    assert is_clique_partition(g, inst.canonical), "canonical partition invalid"
-    assert is_frozen_clique_partition(g, inst.frozen), "frozen partition not frozen"
-    assert inst.canonical.k == exp.theta
-    assert inst.frozen.k == exp.frozen_blocks
+    require(g.n == exp.n, f"order {g.n} != expected {exp.n}")
+    require(g.edge_count == exp.edges, f"edges {g.edge_count} != expected {exp.edges}")
+    require(is_clique_partition(g, inst.canonical), "canonical partition invalid")
+    require(is_frozen_clique_partition(g, inst.frozen), "frozen partition not frozen")
+    require(inst.canonical.k == exp.theta, "canonical block count != expected theta")
+    require(inst.frozen.k == exp.frozen_blocks, "frozen block count != expected")
     w = exp.alpha_witness
-    assert len(w) == exp.alpha
-    for a in w:
-        for b in w:
-            if a < b:
-                assert not g.has_edge(a, b), f"witness pair {a},{b} adjacent"
-    assert (find_induced(g, "C4") is None) == exp.c4_free
+    require(len(w) == exp.alpha, "independent-set witness size != expected alpha")
+    adjacent = [(a, b) for a in w for b in w if a < b and g.has_edge(a, b)]
+    require(not adjacent, f"witness pairs {adjacent} adjacent")
+    require((find_induced(g, "C4") is None) == exp.c4_free, "C4 presence != expected")
     return inst
 
 
@@ -338,7 +336,7 @@ def h_t_complement(t: int) -> FamilyInstance:
     g, q, f = base.graph, base.canonical, base.frozen
     for i in range(1, t):  # subdivide a_{i+1} b_{i+1}, keeping a_1 b_1
         result = subdivide_with_certificates(g, q, f, i, t + i, strict_c4=True)
-        assert result.case_used == 2
+        require(result.case_used == 2, "subdivision of a matching edge left case 2")
         g, q, f = result.graph_out, result.q_out, result.f_out
     witness = (0, t + 1) + tuple(2 * t + 2 * s for s in range(t - 1))
     return _verified(

@@ -18,6 +18,19 @@ PATTERNS = ("C4", "2K2", "P4", "P5", "K3", "DIAMOND")
 ISO_DEFAULT_LIMIT = 20
 
 
+class CertificateError(AssertionError):
+    """A certificate, witness or bound failed its re-check.
+
+    Raised by `require`, which, unlike `assert`, also runs under `python -O`.
+    """
+
+
+def require(ok: object, msg: str) -> None:
+    """Raise CertificateError(msg) unless ok holds."""
+    if not ok:
+        raise CertificateError(msg)
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of mask in increasing order."""
     while mask:
@@ -332,8 +345,8 @@ def find_induced(g: Graph, pattern: str) -> tuple[int, ...] | None:
     if pattern not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}")
     found = _FINDERS[pattern](g)
-    if found is not None:
-        assert induces(g, found, pattern), f"finder returned a non-{pattern} set"
+    if found is not None and not induces(g, found, pattern):
+        raise CertificateError(f"finder returned a non-{pattern} set")
     return found
 
 
@@ -433,9 +446,8 @@ def are_isomorphic(g: Graph, h: Graph, limit: int = ISO_DEFAULT_LIMIT) -> list[i
         return None
     for u in range(n):
         for v in range(u + 1, n):
-            assert g.has_edge(u, v) == h.has_edge(mapping[u], mapping[v]), (
-                "isomorphism search returned a non-isomorphism"
-            )
+            if g.has_edge(u, v) != h.has_edge(mapping[u], mapping[v]):
+                raise CertificateError("isomorphism search returned a non-isomorphism")
     return mapping
 
 

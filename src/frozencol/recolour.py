@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graph import Graph, find_induced
+from .graph import CertificateError, Graph, find_induced, require
 from .partitions import BlockPartition, is_proper_colouring
 from .solvers import chromatic_number
 
@@ -118,9 +118,11 @@ class _Recorder:
     def move(self, v: int, c: int) -> None:
         if self.cols[v] == c:
             return
-        assert 0 <= c < self.ell
+        if not 0 <= c < self.ell:
+            raise CertificateError(f"move {v}->{c} leaves the {self.ell} colours")
         for u in self.g.neighbour_list(v):
-            assert self.cols[u] != c, f"move {v}->{c} conflicts with {u}"
+            if self.cols[u] == c:
+                raise CertificateError(f"move {v}->{c} conflicts with {u}")
         self.moves.append((v, c))
         self.cols[v] = c
 
@@ -132,10 +134,19 @@ class _Recorder:
         return BlockPartition.from_colours(self.cols, self.ell)
 
 
-def _sealed(g: Graph, start: BlockPartition, rec: _Recorder) -> MoveSequence:
-    seq = MoveSequence(start, tuple(rec.moves), rec.ell)
+def _sealed(g: Graph, start: BlockPartition, moves, ell: int,
+            bound: int | None = None, end: BlockPartition | None = None) -> MoveSequence:
+    """The walk from start, checked by one replay before it is returned.
+
+    The replay must accept every move; with bound, no vertex may move more
+    often; with end, the walk must finish on that colouring.
+    """
+    seq = MoveSequence(start, tuple(moves), ell)
     stats = verify_moves(g, seq)
-    assert stats.valid, f"emitted sequence fails replay at {stats.failure_index}"
+    if not stats.valid:
+        raise CertificateError(f"emitted sequence fails replay at {stats.failure_index}")
+    require(bound is None or stats.max_per_vertex <= bound, "a vertex moved beyond the bound")
+    require(end is None or stats.end == end, "walk ends off its target colouring")
     return seq
 
 
@@ -179,6 +190,18 @@ def _check_parts(g: Graph, parts) -> None:
     for v in range(g.n):
         if v not in first and not any(g.has_edge(v, u) for u in first):
             raise ValueError(f"first part is not maximal: vertex {v} fits")
+
+
+def _check_start(g: Graph, ctx: CanonicalContext, start: BlockPartition, ell: int,
+                 parts: int, name: str = "start") -> None:
+    """Entry checks of the canonical stages: part count, colour budget, start."""
+    if len(ctx.parts) != parts:
+        raise ValueError(f"need a {('two', 'three')[parts - 2]}-part context")
+    if ell < parts + 1:
+        raise ValueError(f"need at least {parts + 1} colours")
+    if start.k != ell or not is_proper_colouring(g, start):
+        raise ValueError(f"{name} must be a proper colouring on ell blocks")
+    _check_parts(g, ctx.parts)
 
 
 def maximal_first_partition(g: Graph, parts_needed: int) -> CanonicalContext:
@@ -229,7 +252,7 @@ def complete_vertex(g: Graph, ctx: CanonicalContext, j: int) -> int:
     part = ctx.parts[j]
     x = ctx.complete_vertices[j - 1]
     missing = [u for u in part if not g.has_edge(x, u)]
-    assert not missing, f"candidate {x} misses {missing} despite 2K2-freeness"
+    require(not missing, f"candidate {x} misses {missing} despite 2K2-freeness")
     return x
 
 
@@ -296,10 +319,7 @@ def rename_moves(g: Graph, beta: BlockPartition, gamma: BlockPartition, ell: int
         for c in cycle:
             del succ[c]
 
-    seq = _sealed(g, beta, rec)
-    assert seq.max_per_vertex() <= 2
-    assert seq.end_partition() == gamma
-    return seq
+    return _sealed(g, beta, rec.moves, ell, bound=2, end=gamma)
 
 
 def bipartite_canonical_moves(
@@ -311,13 +331,7 @@ def bipartite_canonical_moves(
     part (so nothing over there blocks it), then the second part goes to the
     smallest other colour.
     """
-    if len(ctx.parts) != 2:
-        raise ValueError("need a two-part context")
-    if ell < 3:
-        raise ValueError("need at least 3 colours")
-    if beta.k != ell or not is_proper_colouring(g, beta):
-        raise ValueError("start must be a proper colouring on ell blocks")
-    _check_parts(g, ctx.parts)
+    _check_start(g, ctx, beta, ell, 2)
     x = complete_vertex(g, ctx, 1)
     rec = _Recorder(g, beta, ell)
     c0 = rec.cols[x]
@@ -326,9 +340,7 @@ def bipartite_canonical_moves(
     c1 = next(c for c in range(ell) if c != c0)
     for v in sorted(ctx.parts[1]):
         rec.move(v, c1)
-    seq = _sealed(g, beta, rec)
-    assert seq.max_per_vertex() <= 1
-    return seq
+    return _sealed(g, beta, rec.moves, ell, bound=1)
 
 
 def _two_smallest_other(ell: int, banned: int) -> tuple[int, int]:
@@ -350,15 +362,9 @@ def single_colour_part_moves(
     X'-and-Y to d2, then shift X and Y onto their target colours and finally
     fold the stray c_i-coloured vertices into their parts.
     """
-    if len(ctx.parts) != 3:
-        raise ValueError("need a three-part context")
-    if ell < 4:
-        raise ValueError("need at least 4 colours")
-    if psi.k != ell or not is_proper_colouring(g, psi):
-        raise ValueError("psi must be a proper colouring on ell blocks")
+    _check_start(g, ctx, psi, ell, 3, "psi")
     if not 0 <= i < 3:
         raise ValueError("part index out of range")
-    _check_parts(g, ctx.parts)
     witness = _two_k2(g)
     if witness is not None:
         raise ValueError(f"graph contains an induced 2K2 on {witness}")
@@ -385,48 +391,44 @@ def single_colour_part_moves(
     # canonical up to class colours: plain renaming is enough (and cheaper)
     if {b for b in psi.blocks if b} == {b for b in gamma.blocks if b}:
         seq = rename_moves(g, psi, gamma, ell)
-        assert all(seq.per_vertex_counts()[v] == 0 for v in part_i)
-        return seq
+    else:
+        a_set = {v for v in range(g.n) if cols[v] == c_i}
+        x_set = set(ctx.parts[ji]) - a_set
+        y_set = set(ctx.parts[ki]) - a_set
+        x_fold = x_set | {y for y in y_set if not any(g.has_edge(y, u) for u in x_set)}
+        y_rest = y_set - x_fold
 
-    a_set = {v for v in range(g.n) if cols[v] == c_i}
-    x_set = set(ctx.parts[ji]) - a_set
-    y_set = set(ctx.parts[ki]) - a_set
-    x_fold = x_set | {y for y in y_set if not any(g.has_edge(y, u) for u in x_set)}
-    y_rest = y_set - x_fold
-
-    rec = _Recorder(g, psi, ell)
-    if x_fold:
-        if y_rest:
-            # a fold vertex complete to the rest exists since g is 2K2-free
-            star = min(
-                sorted(x_fold),
-                key=lambda x: (-sum(1 for u in y_rest if g.has_edge(x, u)), x),
-            )
-            assert all(g.has_edge(star, u) for u in y_rest)
-        else:
-            star = min(x_fold)
-        d1 = rec.cols[star]
-        for v in sorted(x_fold):
-            rec.move(v, d1)
-        d2 = next(c for c in range(ell) if c not in (c_i, d1, c_j))
-        for v in sorted(y_rest):
-            rec.move(v, d2)
-        for v in sorted(x_fold & y_set):
-            rec.move(v, d2)
-        for v in sorted(x_set):
+        rec = _Recorder(g, psi, ell)
+        if x_fold:
+            if y_rest:
+                # a fold vertex complete to the rest exists since g is 2K2-free
+                star = min(
+                    sorted(x_fold),
+                    key=lambda x: (-sum(1 for u in y_rest if g.has_edge(x, u)), x),
+                )
+                require(all(g.has_edge(star, u) for u in y_rest),
+                        "no fold vertex is complete to the rest despite 2K2-freeness")
+            else:
+                star = min(x_fold)
+            d1 = rec.cols[star]
+            for v in sorted(x_fold):
+                rec.move(v, d1)
+            d2 = next(c for c in range(ell) if c not in (c_i, d1, c_j))
+            for v in sorted(y_rest):
+                rec.move(v, d2)
+            for v in sorted(x_fold & y_set):
+                rec.move(v, d2)
+            for v in sorted(x_set):
+                rec.move(v, c_j)
+            for v in sorted(y_set):
+                rec.move(v, c_k)
+        for v in sorted(a_set & set(ctx.parts[ji])):
             rec.move(v, c_j)
-        for v in sorted(y_set):
+        for v in sorted(a_set & set(ctx.parts[ki])):
             rec.move(v, c_k)
-    for v in sorted(a_set & set(ctx.parts[ji])):
-        rec.move(v, c_j)
-    for v in sorted(a_set & set(ctx.parts[ki])):
-        rec.move(v, c_k)
 
-    seq = _sealed(g, psi, rec)
-    counts = seq.per_vertex_counts()
-    assert all(counts[v] == 0 for v in part_i)
-    assert seq.max_per_vertex() <= 4
-    assert seq.end_partition() == gamma
+        seq = _sealed(g, psi, rec.moves, ell, bound=4, end=gamma)
+    require(part_i.isdisjoint(v for v, _ in seq.moves), f"part {i} moved")
     return seq
 
 
@@ -443,16 +445,10 @@ def canonical_moves(
     a part free of some colour entirely. Each branch lands in
     single_colour_part_moves and a final renaming onto the target colours.
     """
-    if len(ctx.parts) != 3:
-        raise ValueError("need a three-part context")
-    if ell < 4:
-        raise ValueError("need at least 4 colours")
-    if beta.k != ell or not is_proper_colouring(g, beta):
-        raise ValueError("start must be a proper colouring on ell blocks")
+    _check_start(g, ctx, beta, ell, 3)
     chi, _ = _chi(g)
     if chi != 3:
         raise ValueError(f"pipeline covers 3-chromatic graphs, got chi={chi}")
-    _check_parts(g, ctx.parts)
     x2 = complete_vertex(g, ctx, 1)
     x3 = complete_vertex(g, ctx, 2)
 
@@ -467,10 +463,7 @@ def canonical_moves(
                 target_cols[v] = colour
         gamma = BlockPartition.from_colours(target_cols, ell)
         rec.extend(rename_moves(g, rec.partition(), gamma, ell))
-        seq = _sealed(g, beta, rec)
-        assert seq.max_per_vertex() <= 6
-        assert seq.end_partition() == gamma
-        return seq
+        return _sealed(g, beta, rec.moves, ell, bound=6, end=gamma)
 
     # a vertex adjacent to everything outside its part: monochrome that part
     outside_masks = [
@@ -483,7 +476,8 @@ def canonical_moves(
                     rec.move(v, rec.cols[x])
                 return finish(t)
 
-    assert x2 != x3  # a shared complete vertex dominates and was caught above
+    # a shared complete vertex dominates and was caught above
+    require(x2 != x3, "two parts share their complete vertex")
     c1 = rec.cols[x2]
     c2 = rec.cols[x3]
     if c1 == c2:
@@ -513,7 +507,8 @@ def canonical_moves(
     for x in sorted(ctx.parts[0]):
         if rec.cols[x] not in (c1, c2):
             c = rec.cols[x]
-            assert none_coloured(set(range(g.n)) - ctx.parts[0], c)
+            require(none_coloured(set(range(g.n)) - ctx.parts[0], c),
+                    "staged colour appears outside the first part")
             for v in sorted(ctx.parts[0]):
                 rec.move(v, c)
             return finish(0)
@@ -541,37 +536,13 @@ def canonical_moves(
         rec.cols[v] == cp and any(rec.cols[u] == c for u in g.neighbour_list(v))
         for v in ctx.parts[1]
     )
-    assert not swap_blocked, "both orientations blocked: induced 2K2 present"
+    require(not swap_blocked, "both orientations blocked: induced 2K2 present")
     for v in sorted(ctx.parts[1]):
         if rec.cols[v] == cp:
             rec.move(v, c)
     for v in sorted(ctx.parts[2]):
         rec.move(v, cp)
     return finish(2)
-
-
-def _reversed_sequence(g: Graph, seq: MoveSequence) -> MoveSequence:
-    """The same walk travelled backwards, from seq's end to its start."""
-    cols = seq.start.to_colours()
-    undo = []
-    for v, c in seq.moves:
-        undo.append((v, cols[v]))
-        cols[v] = c
-    rev = MoveSequence(seq.end_partition(), tuple(reversed(undo)), seq.ell)
-    stats = verify_moves(g, rev)
-    assert stats.valid
-    return rev
-
-
-def _concatenate(g: Graph, pieces) -> MoveSequence:
-    start = pieces[0].start
-    moves = []
-    for piece in pieces:
-        moves.extend(piece.moves)
-    seq = MoveSequence(start, tuple(moves), pieces[0].ell)
-    stats = verify_moves(g, seq)
-    assert stats.valid
-    return seq
 
 
 def path_between(g: Graph, beta: BlockPartition, gamma: BlockPartition, ell: int) -> MoveSequence:
@@ -589,25 +560,18 @@ def path_between(g: Graph, beta: BlockPartition, gamma: BlockPartition, ell: int
     if chi > 3:
         raise ValueError(f"pipeline covers chromatic number up to 3, got {chi}")
     if chi <= 2:
-        if ell < 3:
-            raise ValueError("need at least 3 colours")
-        ctx = maximal_first_partition(g, 2)
-        s1 = bipartite_canonical_moves(g, ctx, beta, ell)
-        s2 = bipartite_canonical_moves(g, ctx, gamma, ell)
-        bridge = rename_moves(g, s1.end_partition(), s2.end_partition(), ell)
-        pieces = [s1, bridge, _reversed_sequence(g, s2)]
-        bound = 4
+        parts, canonical, bound = 2, bipartite_canonical_moves, 4
     else:
-        if ell < 4:
-            raise ValueError("need at least 4 colours")
-        ctx = maximal_first_partition(g, 3)
-        s1 = canonical_moves(g, ctx, beta, ell)
-        s2 = canonical_moves(g, ctx, gamma, ell)
-        bridge = rename_moves(g, s1.end_partition(), s2.end_partition(), ell)
-        pieces = [s1, bridge, _reversed_sequence(g, s2)]
-        bound = 14
-    seq = _concatenate(g, pieces)
-    assert seq.max_per_vertex() <= bound
-    assert len(seq.moves) <= bound * g.n
-    assert seq.end_partition() == gamma
-    return seq
+        parts, canonical, bound = 3, canonical_moves, 14
+    if ell < parts + 1:
+        raise ValueError(f"need at least {parts + 1} colours")
+    ctx = maximal_first_partition(g, parts)
+    s1 = canonical(g, ctx, beta, ell)
+    s2 = canonical(g, ctx, gamma, ell)
+    bridge = rename_moves(g, s1.end_partition(), s2.end_partition(), ell)
+    cols, back = gamma.to_colours(), []  # s2 travelled from its end back to gamma
+    for v, c in s2.moves:
+        back.append((v, cols[v]))
+        cols[v] = c
+    moves = s1.moves + bridge.moves + tuple(reversed(back))
+    return _sealed(g, beta, moves, ell, bound=bound, end=gamma)

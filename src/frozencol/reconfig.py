@@ -15,7 +15,7 @@ from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
 
-from .graph import Graph, bits
+from .graph import Graph, bits, require
 from .partitions import BlockPartition, is_frozen_colouring, is_proper_colouring
 from .solvers import chromatic_number
 
@@ -222,9 +222,8 @@ def reconfiguration_components(
     sizes = Counter(parent)
     component_sizes = tuple(sorted(sizes.values(), reverse=True))
     frozen = tuple(BlockPartition.from_colours(v_, k) for v_ in frozen_vecs)
-    for p in frozen:
-        assert is_frozen_colouring(g, p)
-    assert sum(component_sizes) == len(parent)
+    require(all(is_frozen_colouring(g, p) for p in frozen), "isolated colouring is not frozen")
+    require(sum(component_sizes) == len(parent), "component sizes miss a state")
     return ReconfigReport(
         k=k,
         colouring_count=len(parent),
@@ -447,7 +446,7 @@ def find_frozen(g: Graph, k: int) -> BlockPartition | None:
             hit[c] = h | nbrs
             if v == n - 1:
                 part = BlockPartition.from_colours(cols, k)
-                assert is_frozen_colouring(g, part)
+                require(is_frozen_colouring(g, part), "search leaf is not frozen")
                 return part
             v += 1
             seen[v], count[v] = s2, q

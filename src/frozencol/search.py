@@ -19,6 +19,7 @@ from .graph import (
     decode_graph6,
     encode_graph6,
     find_induced,
+    require,
 )
 from .partitions import BlockPartition, is_frozen_colouring
 from .reconfig import find_frozen
@@ -140,7 +141,7 @@ def _frozen_above_chi(
     for k in range(low, top + 1):
         witness = find_frozen(g, k)
         if witness is not None:
-            assert is_frozen_colouring(g, witness)
+            require(is_frozen_colouring(g, witness), "witness colouring is not frozen")
             found.append((k, witness))
     return chi, found
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, bits, complement, find_induced
+from .graph import Graph, bits, complement, find_induced, require
 from .partitions import (
     BlockPartition,
     is_clique_partition,
@@ -66,18 +66,15 @@ def independence_number(g: Graph, limit: int = DEFAULT_LIMIT) -> tuple[int, set[
     _check_limit(g, limit)
     mask = _max_independent_mask(g.rows, g.n)
     witness = set(bits(mask))
-    for v in witness:
-        assert not g.rows[v] & mask, "witness is not independent"
+    require(not any(g.rows[v] & mask for v in witness), "witness is not independent")
     return len(witness), witness
 
 
 def clique_number(g: Graph, limit: int = DEFAULT_LIMIT) -> tuple[int, set[int]]:
     """Exact clique number: independence number of the complement."""
     size, witness = independence_number(complement(g), limit)
-    for u in witness:
-        for v in witness:
-            if u < v:
-                assert g.has_edge(u, v), "witness is not a clique"
+    require(all(g.has_edge(u, v) for u in witness for v in witness if u < v),
+            "witness is not a clique")
     return size, witness
 
 
@@ -186,14 +183,14 @@ def chromatic_number(g: Graph, limit: int = DEFAULT_LIMIT) -> tuple[int, BlockPa
             break
     chi = max(best) + 1
     witness = BlockPartition.from_colours(best, chi)
-    assert is_proper_colouring(g, witness), "witness colouring is improper"
+    require(is_proper_colouring(g, witness), "witness colouring is improper")
     return chi, witness
 
 
 def clique_cover_number(g: Graph, limit: int = DEFAULT_LIMIT) -> tuple[int, BlockPartition]:
     """Exact clique cover number: chromatic number of the complement."""
     theta, witness = chromatic_number(complement(g), limit)
-    assert is_clique_partition(g, witness), "witness is not a clique partition"
+    require(is_clique_partition(g, witness), "witness is not a clique partition")
     return theta, witness
 
 
@@ -235,9 +232,10 @@ def analyze(g: Graph, limit: int = DEFAULT_LIMIT) -> InvariantReport:
     theta, cover = clique_cover_number(g, limit)
     alpha, ind_set = independence_number(g, limit)
     omega, clique = clique_number(g, limit)
-    assert omega <= chi and alpha <= theta
-    assert g.n == 0 or alpha * chi >= g.n and omega * theta >= g.n
-    assert colouring.k == chi and cover.k == theta
+    require(omega <= chi and alpha <= theta, "omega above chi or alpha above theta")
+    require(g.n == 0 or alpha * chi >= g.n and omega * theta >= g.n,
+            "alpha*chi or omega*theta below the order")
+    require(colouring.k == chi and cover.k == theta, "witness size differs from its invariant")
     report = InvariantReport(
         chi=chi,
         theta=theta,

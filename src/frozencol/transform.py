@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .graph import Graph, complement, find_induced, is_diamond_middle_edge
+from .graph import Graph, complement, find_induced, is_diamond_middle_edge, require
 from .partitions import (
     BlockPartition,
     is_clique_partition,
@@ -101,11 +101,10 @@ def subdivide_with_certificates(
     else:
         kept = [b for b in f.blocks if b != frozenset((x, y))]
         f_out = BlockPartition(kept + [{x, u}, {v, y}])
-    assert q_out.k == q.k + 1 and f_out.k == f.k + 1
-    if not is_clique_partition(out, q_out):
-        raise AssertionError("transported q certificate failed verification")
-    if not is_frozen_clique_partition(out, f_out):
-        raise AssertionError("transported f certificate failed verification")
+    require(q_out.k == q.k + 1 and f_out.k == f.k + 1, "transport did not add one block")
+    require(is_clique_partition(out, q_out), "transported q certificate failed verification")
+    require(is_frozen_clique_partition(out, f_out),
+            "transported f certificate failed verification")
 
     if find_induced(h, "C4") is None:
         c4_preserved = find_induced(out, "C4") is None
@@ -156,6 +155,6 @@ def expand_nonedge(
         co, beta, gamma, x, y, strict_c4=strict_2k2, case=case
     )
     out = complement(result.graph_out)
-    assert is_proper_colouring(out, result.q_out)
-    assert is_frozen_colouring(out, result.f_out)
+    require(is_proper_colouring(out, result.q_out), "transported beta is not proper")
+    require(is_frozen_colouring(out, result.f_out), "transported gamma is not frozen")
     return replace(result, graph_out=out)

@@ -10,7 +10,8 @@ from click.testing import CliRunner
 
 from frozencol import cli
 from frozencol.cli import main
-from frozencol.graph import cycle_graph, decode_graph6, encode_graph6
+from frozencol.families import me_complement
+from frozencol.graph import complement, cycle_graph, decode_graph6, encode_graph6
 from frozencol.partitions import (
     BlockPartition,
     is_frozen_clique_partition,
@@ -406,6 +407,29 @@ def test_verification_failure_exits_one(runner, c6_path, monkeypatch):
     assert failed.stderr.startswith("verification failed:")
     unchecked = runner.invoke(main, ["reconfig", c6_path, "--k", "3", "--no-verify"])
     assert unchecked.exit_code == 0
+
+
+def test_solver_order_limit_exits_two(runner, tmp_path):
+    c41 = tmp_path / "c41.g6"
+    c41.write_text(encode_graph6(cycle_graph(41)) + "\n")
+    result = runner.invoke(main, ["solve", str(c41), "--invariant", "chi"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: graph order 41 exceeds exactness bound 40\n"
+
+
+def test_reconfig_negative_k_exits_two(runner, c6_path):
+    result = runner.invoke(main, ["reconfig", c6_path, "--k", "-1"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+
+
+def test_search_dedup_above_isomorphism_limit_exits_two(runner):
+    # two same-k hits of order 22: deduplication needs are_isomorphic beyond its limit
+    line = encode_graph6(complement(me_complement(5).graph)) + "\n"
+    result = runner.invoke(main, ["search", "--stream", "-", "--max-k", "11"],
+                           input=line * 2)
+    assert result.exit_code == 2
+    assert result.stderr == "error: order exceeds isomorphism limit 20\n"
 
 
 # -- golden surface -------------------------------------------------------------

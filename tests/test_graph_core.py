@@ -1,7 +1,13 @@
 """Graph construction, pattern detection, isomorphism, and encodings."""
 
+import ast
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -307,3 +313,91 @@ def test_json_keeps_labels():
     g = graph_from_edges(2, [(0, 1)], labels=["x", "y"])
     back = graph_from_json(graph_to_json(g))
     assert back.labels == ("x", "y")
+
+
+# -- self-checks ----------------------------------------------------------------
+#
+# Every returned object is re-checked through `require`, which raises
+# CertificateError; a bare assert would vanish under `python -O`.
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_package_has_no_assert_statements():
+    found = []
+    for path in sorted((SRC / "frozencol").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+_CORRUPT_KERNEL = """
+import frozencol.solvers as S
+from frozencol.graph import cycle_graph
+S._dsatur_greedy = lambda g: [0] * g.n
+S._try_colouring = lambda g, k, seed: [0] * g.n
+"""
+
+_CORRUPTIONS = {
+    "2K2 finder": """
+import frozencol.graph as G
+G._FINDERS["2K2"] = lambda g: (0, 1, 2, 3)  # a P4 in C6
+G.find_induced(G.cycle_graph(6), "2K2")
+""",
+    "colouring kernel": _CORRUPT_KERNEL + """
+S.chromatic_number(cycle_graph(6))
+""",
+    "recolour step": """
+import frozencol.recolour as R
+from frozencol.graph import cycle_graph
+from frozencol.partitions import BlockPartition
+
+def skewed(self, v, c):  # records a different colour from the one it applies
+    self.moves.append((v, (c + 1) % self.ell))
+    self.cols[v] = c
+
+R._Recorder.move = skewed
+beta = BlockPartition.from_colours([0, 1, 0, 1, 2], 4)
+gamma = BlockPartition.from_colours([1, 0, 1, 0, 3], 4)
+R.path_between(cycle_graph(5), beta, gamma, 4)
+""",
+    "frozen check in R_k": """
+import frozencol.reconfig as R
+from frozencol.graph import cycle_graph
+R.is_frozen_colouring = lambda g, p: False
+R.reconfiguration_components(cycle_graph(6), 3)
+""",
+}
+
+
+def _run_optimised(code: str, tmp_path: Path) -> subprocess.CompletedProcess:
+    script = tmp_path / "probe.py"
+    script.write_text("import sys\nif not sys.flags.optimize:\n"
+                      "    raise SystemExit('asserts are live')\n" + code)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("name", sorted(_CORRUPTIONS))
+def test_corruption_is_caught_under_python_O(name, tmp_path):
+    code = "try:\n" + textwrap.indent(_CORRUPTIONS[name], "    ") + (
+        "except AssertionError as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+        "else:\n"
+        "    print('not caught')\n")
+    proc = _run_optimised(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("CertificateError "), proc.stdout
+
+
+def test_cli_reports_corrupt_kernel_under_python_O(tmp_path):
+    c6 = tmp_path / "c6.g6"
+    c6.write_text(encode_graph6(cycle_graph(6)) + "\n")
+    code = _CORRUPT_KERNEL + (
+        "from frozencol.cli import main\n"
+        f"main(['solve', {str(c6)!r}, '--invariant', 'chi', '--no-verify'])\n")
+    proc = _run_optimised(code, tmp_path)
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr.startswith("verification failed: "), proc.stderr
