@@ -280,12 +280,23 @@ def _find_c4(g: Graph) -> tuple[int, ...] | None:
 
 
 def _find_2k2(g: Graph) -> tuple[int, ...] | None:
-    edges = g.edges()
-    for i, (a, b) in enumerate(edges):
-        forbidden = g.rows[a] | g.rows[b] | 1 << a | 1 << b
-        for c, d in edges[i + 1 :]:
-            if not (forbidden >> c & 1) and not (forbidden >> d & 1):
-                return tuple(sorted((a, b, c, d)))
+    # First edge ab in lex order with an edge cd after it outside N[a] | N[b];
+    # such a c lies above a, and the lowest c with a d above it comes first.
+    rows = g.rows
+    full = (1 << g.n) - 1
+    for a in range(g.n):
+        above_a = full >> (a + 1) << (a + 1)
+        for b in bits(rows[a] & above_a):
+            allowed = above_a & ~(rows[a] | rows[b])
+            pool = allowed
+            while pool:
+                low = pool & -pool
+                pool ^= low
+                c = low.bit_length() - 1
+                ds = rows[c] & allowed >> (c + 1) << (c + 1)
+                if ds:
+                    d = (ds & -ds).bit_length() - 1
+                    return tuple(sorted((a, b, c, d)))
     return None
 
 

@@ -27,6 +27,11 @@ def _two_k2(g: Graph):
     return find_induced(g, "2K2")
 
 
+@lru_cache(maxsize=65536)
+def _neighbours(g: Graph) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(g.neighbour_list(v)) for v in range(g.n))
+
+
 @dataclass(frozen=True)
 class MoveSequence:
     """A walk in R_ell(g): start colouring plus (vertex, new colour) steps."""
@@ -95,10 +100,11 @@ def verify_moves(g: Graph, seq: MoveSequence) -> MoveStats:
     if not is_proper_colouring(g, seq.start):
         return fail(-1)
     cols = seq.start.to_colours()
+    nbrs = _neighbours(g)
     for i, (v, c) in enumerate(seq.moves):
         if not (0 <= v < g.n and 0 <= c < seq.ell) or cols[v] == c:
             return fail(i)
-        if any(cols[u] == c for u in g.neighbour_list(v)):
+        if any(cols[u] == c for u in nbrs[v]):
             return fail(i)
         cols[v] = c
         counts[v] += 1
@@ -110,7 +116,7 @@ class _Recorder:
     """Accumulates moves while tracking the current colour vector."""
 
     def __init__(self, g: Graph, start: BlockPartition, ell: int):
-        self.g = g
+        self.nbrs = _neighbours(g)
         self.ell = ell
         self.cols = start.to_colours()
         self.moves: list[tuple[int, int]] = []
@@ -120,7 +126,7 @@ class _Recorder:
             return
         if not 0 <= c < self.ell:
             raise CertificateError(f"move {v}->{c} leaves the {self.ell} colours")
-        for u in self.g.neighbour_list(v):
+        for u in self.nbrs[v]:
             if self.cols[u] == c:
                 raise CertificateError(f"move {v}->{c} conflicts with {u}")
         self.moves.append((v, c))
@@ -453,6 +459,7 @@ def canonical_moves(
     x3 = complete_vertex(g, ctx, 2)
 
     rec = _Recorder(g, beta, ell)
+    nbrs = rec.nbrs
 
     def finish(part_index: int) -> MoveSequence:
         sub = single_colour_part_moves(g, ctx, rec.partition(), part_index, ell)
@@ -491,16 +498,16 @@ def canonical_moves(
 
     # stage the anchor colours: as many of A_2 to c2, A_3 to c1, A_1 to either
     for v in sorted(ctx.parts[1]):
-        if rec.cols[v] != c2 and none_coloured(g.neighbour_list(v), c2):
+        if rec.cols[v] != c2 and none_coloured(nbrs[v], c2):
             rec.move(v, c2)
     for v in sorted(ctx.parts[2]):
-        if rec.cols[v] != c1 and none_coloured(g.neighbour_list(v), c1):
+        if rec.cols[v] != c1 and none_coloured(nbrs[v], c1):
             rec.move(v, c1)
     for v in sorted(ctx.parts[0]):
         if rec.cols[v] not in (c1, c2):
-            if none_coloured(g.neighbour_list(v), c1):
+            if none_coloured(nbrs[v], c1):
                 rec.move(v, c1)
-            elif none_coloured(g.neighbour_list(v), c2):
+            elif none_coloured(nbrs[v], c2):
                 rec.move(v, c2)
 
     # case 1: a first-part vertex kept a colour that now appears only there
@@ -527,13 +534,13 @@ def canonical_moves(
     # case 2(b): both smallest non-anchor colours appear on both later parts
     c, cp = others[0], others[1]
     blocked = any(
-        rec.cols[v] == cp and any(rec.cols[u] == c for u in g.neighbour_list(v))
+        rec.cols[v] == cp and any(rec.cols[u] == c for u in nbrs[v])
         for v in ctx.parts[1]
     )
     if blocked:
         c, cp = cp, c
     swap_blocked = any(
-        rec.cols[v] == cp and any(rec.cols[u] == c for u in g.neighbour_list(v))
+        rec.cols[v] == cp and any(rec.cols[u] == c for u in nbrs[v])
         for v in ctx.parts[1]
     )
     require(not swap_blocked, "both orientations blocked: induced 2K2 present")

@@ -125,18 +125,45 @@ def _passes_filters(g: Graph, spec: PredicateSpec) -> bool:
     return True
 
 
+def _has_greedy_clique(g: Graph, size: int) -> bool:
+    """True if a greedy pass finds `size` pairwise adjacent vertices.
+
+    From each start vertex, repeatedly add the lowest common neighbour of the
+    vertices taken so far. A True answer proves omega(g) >= size.
+    """
+    if size <= 0:
+        return True
+    rows = g.rows
+    for v in range(g.n):
+        common, taken = rows[v], 1
+        while common and taken < size:
+            low = common & -common
+            common &= rows[low.bit_length() - 1]
+            taken += 1
+        if taken >= size:
+            return True
+    return False
+
+
 def _frozen_above_chi(
     g: Graph, gap: int, max_k: int | None
-) -> tuple[int, list[tuple[int, BlockPartition]]]:
+) -> tuple[int | None, list[tuple[int, BlockPartition]]]:
     """chi(g) and the verified frozen k-colourings for k from chi+gap to max_k.
 
     max_k None means chi+gap alone. A frozen colouring uses all k classes and
-    a frozen vertex sees the other k-1 colours, so k stops at min(n, delta+1).
+    a frozen vertex sees the other k-1 colours, so k stops at
+    cap = min(n, delta+1, max_k). A greedy clique of cap-gap+1 vertices puts
+    chi+gap above cap, so no k is left to probe: chi is then not computed and
+    comes back as None, with no colourings.
     """
+    cap = min(g.n, min((g.degree(v) for v in range(g.n)), default=0) + 1)
+    if max_k is not None:
+        cap = min(cap, max_k)
+    if _has_greedy_clique(g, cap - gap + 1):
+        return None, []
     chi, _ = chromatic_number(g)
     low = chi + gap
-    high = low if max_k is None else max_k
-    top = min(high, g.n, min((g.degree(v) for v in range(g.n)), default=0) + 1)
+    top = cap if max_k is not None else min(cap, low)
     found = []
     for k in range(low, top + 1):
         witness = find_frozen(g, k)

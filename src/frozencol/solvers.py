@@ -81,36 +81,40 @@ def clique_number(g: Graph, limit: int = DEFAULT_LIMIT) -> tuple[int, set[int]]:
 # -- exact colouring ----------------------------------------------------------
 
 
-def _dsatur_pick(g: Graph, colours: list[int], nbr_colours: list[int]) -> int:
+def _dsatur_pick(rows: tuple[int, ...], nbr_colours: list[int], uncoloured: int) -> int:
     """The uncoloured vertex with the most distinct neighbour colours.
 
     Ties break on the most uncoloured neighbours, then on the lowest index.
     """
-    v_best, key_best = -1, None
-    for v in range(g.n):
-        if colours[v] != -1:
-            continue
+    v_best, sat_best, deg_best = -1, -1, -1
+    pool = uncoloured
+    while pool:
+        low = pool & -pool
+        pool ^= low
+        v = low.bit_length() - 1
         sat = nbr_colours[v].bit_count()
-        deg = sum(1 for u in bits(g.rows[v]) if colours[u] == -1)
-        key = (-sat, -deg, v)
-        if key_best is None or key < key_best:
-            v_best, key_best = v, key
+        if sat < sat_best:
+            continue
+        deg = (rows[v] & uncoloured).bit_count()
+        if sat > sat_best or deg > deg_best:
+            v_best, sat_best, deg_best = v, sat, deg
     return v_best
 
 
 def _dsatur_greedy(g: Graph) -> list[int]:
     """Greedy colouring, highest saturation first; an upper bound for chi."""
-    n = g.n
-    colours = [-1] * n
-    nbr_colours = [0] * n
-    for _ in range(n):
-        v_best = _dsatur_pick(g, colours, nbr_colours)
-        c = 0
-        while nbr_colours[v_best] >> c & 1:
-            c += 1
-        colours[v_best] = c
-        for u in bits(g.rows[v_best]):
-            nbr_colours[u] |= 1 << c
+    rows = g.rows
+    colours = [-1] * g.n
+    nbr_colours = [0] * g.n
+    uncoloured = (1 << g.n) - 1
+    while uncoloured:
+        v = _dsatur_pick(rows, nbr_colours, uncoloured)
+        uncoloured ^= 1 << v
+        free = ~nbr_colours[v]
+        low = free & -free
+        colours[v] = low.bit_length() - 1
+        for u in bits(rows[v] & uncoloured):
+            nbr_colours[u] |= low
     return colours
 
 
@@ -119,47 +123,45 @@ def _try_colouring(g: Graph, k: int, seed: list[int]) -> list[int] | None:
 
     `seed` is a clique whose vertices are pinned to colours 0..|seed|-1; a new
     colour index may only enter in sequence, which breaks colour symmetry.
+    Only uncoloured vertices' neighbour-colour masks are kept: the pick and
+    the colour choice read no others.
     """
-    n = g.n
+    rows = g.rows
     if len(seed) > k:
         return None
-    colours = [-1] * n
-    nbr_colours = [0] * n
-
-    def set_colour(v: int, c: int) -> None:
-        colours[v] = c
-        for u in bits(g.rows[v]):
-            nbr_colours[u] |= 1 << c
-
-    def recount(v: int) -> None:
-        mask = 0
-        for u in bits(g.rows[v]):
-            if colours[u] != -1:
-                mask |= 1 << colours[u]
-        nbr_colours[v] = mask
-
+    colours = [-1] * g.n
+    nbr_colours = [0] * g.n
+    uncoloured = (1 << g.n) - 1
     for i, v in enumerate(seed):
-        if colours[v] != -1 or nbr_colours[v] >> i & 1:
+        if not uncoloured >> v & 1 or nbr_colours[v] >> i & 1:
             return None  # seed is not a clique with distinct colours
-        set_colour(v, i)
+        colours[v] = i
+        uncoloured ^= 1 << v
+        for u in bits(rows[v] & uncoloured):
+            nbr_colours[u] |= 1 << i
 
-    def extend(done: int, max_used: int) -> bool:
-        if done == n:
+    def extend(uncoloured: int, max_used: int) -> bool:
+        if not uncoloured:
             return True
-        v = _dsatur_pick(g, colours, nbr_colours)
-        top = min(k - 1, max_used + 1)
-        for c in range(top + 1):
-            if nbr_colours[v] >> c & 1:
-                continue
-            set_colour(v, c)
-            if extend(done + 1, max(max_used, c)):
+        v = _dsatur_pick(rows, nbr_colours, uncoloured)
+        uncoloured ^= 1 << v
+        free = ~nbr_colours[v] & ((1 << min(k, max_used + 2)) - 1)
+        nbrs = list(bits(rows[v] & uncoloured))
+        saved = [nbr_colours[u] for u in nbrs]
+        while free:
+            low = free & -free
+            free ^= low
+            c = low.bit_length() - 1
+            colours[v] = c
+            for u in nbrs:
+                nbr_colours[u] |= low
+            if extend(uncoloured, max(max_used, c)):
                 return True
-            colours[v] = -1
-            for u in bits(g.rows[v]):
-                recount(u)
+            for u, mask in zip(nbrs, saved):
+                nbr_colours[u] = mask
         return False
 
-    if extend(len(seed), len(seed) - 1):
+    if extend(uncoloured, len(seed) - 1):
         return colours
     return None
 

@@ -172,6 +172,25 @@ def test_find_induced_matches_brute_force():
                 assert induces(g, got, pattern)
 
 
+def _reference_find_2k2(g):
+    # the edge-pair scan the mask-based finder replaced
+    edges = g.edges()
+    for i, (a, b) in enumerate(edges):
+        forbidden = g.rows[a] | g.rows[b] | 1 << a | 1 << b
+        for c, d in edges[i + 1 :]:
+            if not (forbidden >> c & 1) and not (forbidden >> d & 1):
+                return tuple(sorted((a, b, c, d)))
+    return None
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 14), st.floats(0, 1), st.integers(0, 2**30))
+def test_find_2k2_matches_edge_pair_scan(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    for h in (g, complement(g)):
+        assert find_induced(h, "2K2") == _reference_find_2k2(h)
+
+
 def test_triangles_matches_brute_force():
     rng = random.Random(7)
     for trial in range(40):

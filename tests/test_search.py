@@ -1,8 +1,12 @@
 """Tests for the frozen-colouring gap search."""
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import frozencol.search as search
 
 from frozencol.families import ke_complement, km_complement, me_complement
 from frozencol.graph import (
@@ -14,6 +18,7 @@ from frozencol.graph import (
     decode_graph6,
     encode_graph6,
     find_induced,
+    graph_from_edges,
     relabel,
 )
 from frozencol.partitions import BlockPartition, is_frozen_colouring
@@ -232,6 +237,53 @@ def test_gap_finder_family_gaps():
     ke = complement(ke_complement(2).graph)
     chi_ke, _ = chromatic_number(ke)
     assert [k for k, _ in frozen_gap_finder(ke, 3 * 2)] == [chi_ke + 2]
+
+
+# --- the clique gate before chi ---
+
+
+def _gate_changes_nothing(g, gap, max_k):
+    chi, found = search._frozen_above_chi(g, gap, max_k)
+    with patch.object(search, "_has_greedy_clique", lambda g, size: False):
+        chi_off, found_off = search._frozen_above_chi(g, gap, max_k)
+    assert found == found_off
+    assert chi in (None, chi_off)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=8), st.data(),
+       st.integers(min_value=1, max_value=3), st.sampled_from([None, 4, 8]))
+def test_clique_gate_keeps_every_result(n, data, gap, max_k):
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << (n * (n - 1) // 2)) - 1))
+    _gate_changes_nothing(graph_from_mask(n, mask), gap, max_k)
+
+
+def test_clique_gate_keeps_family_hits():
+    graphs = [Graph(0, []), cycle_graph(6), complement(me_complement(2).graph),
+              complement(km_complement(2).graph), complement(ke_complement(2).graph)]
+    for g in graphs:
+        for gap in (1, 2, 3):
+            for max_k in (None, 4, 8):
+                _gate_changes_nothing(g, gap, max_k)
+    assert search._frozen_above_chi(cycle_graph(6), 1, None)[1]
+
+
+def _no_chi(g):
+    raise AssertionError("chi was computed")
+
+
+def test_clique_gate_fires_on_pendant_vertex():
+    # delta = 1 caps k at 2, and any edge is a 2-clique: chi + 1 > 2
+    g = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)])
+    with patch.object(search, "chromatic_number", _no_chi):
+        assert search._frozen_above_chi(g, 1, None) == (None, [])
+        assert search.frozen_gap_finder(g, 6) == []
+
+
+def test_clique_gate_passes_c5_without_hits():
+    # C5 is triangle-free, so the gate cannot rule out k = 3 = min(n, delta+1)
+    assert search._frozen_above_chi(cycle_graph(5), 1, None) == (3, [])
+    assert search._frozen_above_chi(cycle_graph(5), 1, 5) == (3, [])
 
 
 # --- cross-checks ---

@@ -2,11 +2,14 @@
 
 import itertools
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import frozencol.solvers as S
 from frozencol.graph import (
+    bits,
     complement,
     complete_graph,
     cycle_graph,
@@ -143,6 +146,104 @@ def test_duality_against_oracle(seed, n):
     assert chromatic_number(g)[0] == clique_cover_number(complement(g))[0]
     assert clique_cover_number(g)[0] == brute_chi(complement(g))
     assert clique_number(g)[0] == brute_alpha(complement(g))
+
+
+# -- DSATUR kernels against the list-scanning versions they replaced ---------------
+
+
+def _reference_dsatur_pick(g, colours, nbr_colours):
+    v_best, key_best = -1, None
+    for v in range(g.n):
+        if colours[v] != -1:
+            continue
+        sat = nbr_colours[v].bit_count()
+        deg = sum(1 for u in bits(g.rows[v]) if colours[u] == -1)
+        key = (-sat, -deg, v)
+        if key_best is None or key < key_best:
+            v_best, key_best = v, key
+    return v_best
+
+
+def _reference_dsatur_greedy(g):
+    n = g.n
+    colours = [-1] * n
+    nbr_colours = [0] * n
+    for _ in range(n):
+        v_best = _reference_dsatur_pick(g, colours, nbr_colours)
+        c = 0
+        while nbr_colours[v_best] >> c & 1:
+            c += 1
+        colours[v_best] = c
+        for u in bits(g.rows[v_best]):
+            nbr_colours[u] |= 1 << c
+    return colours
+
+
+def _reference_try_colouring(g, k, seed):
+    n = g.n
+    if len(seed) > k:
+        return None
+    colours = [-1] * n
+    nbr_colours = [0] * n
+
+    def set_colour(v, c):
+        colours[v] = c
+        for u in bits(g.rows[v]):
+            nbr_colours[u] |= 1 << c
+
+    def recount(v):
+        mask = 0
+        for u in bits(g.rows[v]):
+            if colours[u] != -1:
+                mask |= 1 << colours[u]
+        nbr_colours[v] = mask
+
+    for i, v in enumerate(seed):
+        if colours[v] != -1 or nbr_colours[v] >> i & 1:
+            return None
+        set_colour(v, i)
+
+    def extend(done, max_used):
+        if done == n:
+            return True
+        v = _reference_dsatur_pick(g, colours, nbr_colours)
+        top = min(k - 1, max_used + 1)
+        for c in range(top + 1):
+            if nbr_colours[v] >> c & 1:
+                continue
+            set_colour(v, c)
+            if extend(done + 1, max(max_used, c)):
+                return True
+            colours[v] = -1
+            for u in bits(g.rows[v]):
+                recount(u)
+        return False
+
+    if extend(len(seed), len(seed) - 1):
+        return colours
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 14), st.floats(0, 1), st.integers(0, 2**30))
+def test_dsatur_kernels_match_reference(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    assert S._dsatur_greedy(g) == _reference_dsatur_greedy(g)
+    clique = sorted(clique_number(g)[1]) if n else []
+    for k in range(1, n + 1):
+        for pinned in ([], clique, clique[:1]):
+            assert S._try_colouring(g, k, pinned) == _reference_try_colouring(g, k, pinned)
+    with patch.object(S, "_dsatur_greedy", _reference_dsatur_greedy), \
+            patch.object(S, "_try_colouring", _reference_try_colouring):
+        expected = chromatic_number(g)
+    assert chromatic_number(g) == expected
+
+
+def test_try_colouring_rejects_repeated_seed_vertex():
+    g = cycle_graph(5)
+    assert S._try_colouring(g, 3, [0, 0]) is None
+    assert S._try_colouring(g, 1, [0, 1]) is None
+    assert S._try_colouring(g, 3, [0, 1]) == _reference_try_colouring(g, 3, [0, 1])
 
 
 # -- combined report -----------------------------------------------------------------
