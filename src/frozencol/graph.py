@@ -72,6 +72,19 @@ class Graph:
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "labels", labels)
 
+    @classmethod
+    def _trusted(cls, n: int, rows: Sequence[int], labels: tuple[str, ...] | None) -> Graph:
+        """A graph from rows known to be valid, skipping `__init__`'s checks.
+
+        Only for rows symmetric and loop-free by construction, with labels
+        taken from a valid graph: `decode_graph6` and `complement`.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", tuple(rows))
+        object.__setattr__(g, "labels", labels)
+        return g
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Graph is immutable")
 
@@ -151,7 +164,7 @@ def complement(g: Graph) -> Graph:
     """Complement on the same vertex set; labels carried over."""
     full = (1 << g.n) - 1
     rows = [full & ~g.rows[v] & ~(1 << v) for v in range(g.n)]
-    return Graph(g.n, rows, g.labels)
+    return Graph._trusted(g.n, rows, g.labels)
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -418,42 +431,40 @@ def are_isomorphic(g: Graph, h: Graph, limit: int = ISO_DEFAULT_LIMIT) -> list[i
     candidates = [[v for v in range(n) if sig_h[v] == sig_g[u]] for u in range(n)]
 
     # Most-constrained vertices first, then prefer neighbours of placed ones.
+    # before[i]: the vertices of g placed ahead of depth i
     order: list[int] = []
-    placed = set()
+    before = [0]
     while len(order) < n:
-        pool = [u for u in range(n) if u not in placed]
-        touching = [u for u in pool if any(g.has_edge(u, w) for w in order)]
+        placed = before[-1]
+        pool = [u for u in range(n) if not placed >> u & 1]
+        touching = [u for u in pool if g.rows[u] & placed]
         pick_from = touching if touching else pool
         u = min(pick_from, key=lambda u: (len(candidates[u]), u))
         order.append(u)
-        placed.add(u)
+        before.append(placed | 1 << u)
 
     mapping = [-1] * n
-    used = [False] * n
+    h_rows = h.rows
 
-    def extend(idx: int) -> bool:
+    def extend(idx: int, image: int) -> bool:
+        """Place order[idx:]; image holds the h-vertices used so far."""
         if idx == n:
             return True
         u = order[idx]
+        # v fits iff its placed neighbours are exactly the images of u's
+        want = 0
+        for w in bits(g.rows[u] & before[idx]):
+            want |= 1 << mapping[w]
         for v in candidates[u]:
-            if used[v]:
-                continue
-            ok = True
-            for w in order[:idx]:
-                if g.has_edge(u, w) != h.has_edge(v, mapping[w]):
-                    ok = False
-                    break
-            if not ok:
+            if image >> v & 1 or h_rows[v] & image != want:
                 continue
             mapping[u] = v
-            used[v] = True
-            if extend(idx + 1):
+            if extend(idx + 1, image | 1 << v):
                 return True
-            mapping[u] = -1
-            used[v] = False
+        mapping[u] = -1
         return False
 
-    if not extend(0):
+    if not extend(0, 0):
         return None
     for u in range(n):
         for v in range(u + 1, n):
@@ -520,7 +531,7 @@ def decode_graph6(text: str) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
             pos += 1
-    return Graph(n, rows)
+    return Graph._trusted(n, rows, None)
 
 
 # -- DIMACS .col --------------------------------------------------------------

@@ -300,6 +300,24 @@ def _distances(adj: list[list[int]], s: int) -> dict[int, int]:
     return dist
 
 
+def frozen_k_bound(g: Graph) -> int:
+    """The largest k for which g could have a frozen k-colouring.
+
+    min(n, delta+1, |U| + (n-|U|)//2), where U holds the universal vertices
+    (adjacent to every other vertex). Each class of a frozen k-colouring is
+    an independent dominating set, so a frozen vertex sees the other k-1
+    classes (k <= delta+1) and a one-vertex class is a universal vertex.
+    A universal vertex has no partner in its independent class, so the
+    |U| singletons leave n-|U| vertices in classes of two or more.
+    """
+    n = g.n
+    if n == 0:
+        return 0
+    degrees = [r.bit_count() for r in g.rows]
+    universal = degrees.count(n - 1)
+    return min(n, min(degrees) + 1, universal + (n - universal) // 2)
+
+
 def find_frozen(g: Graph, k: int) -> BlockPartition | None:
     """The lex-first restricted-growth frozen k-colouring of g, or None.
 
@@ -308,7 +326,8 @@ def find_frozen(g: Graph, k: int) -> BlockPartition | None:
     set (a fall colouring). Backtracking colours vertices in index order,
     colours in first-appearance order, so the first leaf is the witness:
     the lexicographically first frozen colour vector whose colours appear
-    in order 0, 1, 2, ... Every prune is sound, so pruning never changes it:
+    in order 0, 1, 2, ... A k above `frozen_k_bound(g)` returns None at
+    once. Every prune is sound, so pruning never changes the witness:
 
     - properness: a vertex takes no colour of a coloured neighbour;
     - growth: the vertices left must still open every unused colour;
@@ -331,13 +350,10 @@ def find_frozen(g: Graph, k: int) -> BlockPartition | None:
     n = g.n
     if k == 0:
         return BlockPartition([]) if n == 0 else None
-    if n == 0 or k > n:
+    if k > frozen_k_bound(g):
         return None
-    # a frozen vertex sees all other k-1 colours among its neighbours
     rows = g.rows
     degrees = [r.bit_count() for r in rows]
-    if min(degrees) < k - 1:
-        return None
     full, everyone = (1 << k) - 1, (1 << n) - 1
     closed = [r | 1 << v for v, r in enumerate(rows)]
     # vertex u owns `width` bits from width*u: its seen colours (bits 0..k-1,

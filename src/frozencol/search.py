@@ -22,7 +22,7 @@ from .graph import (
     require,
 )
 from .partitions import BlockPartition, is_frozen_colouring
-from .reconfig import find_frozen
+from .reconfig import find_frozen, frozen_k_bound
 from .solvers import chromatic_number
 
 _SIDES = (None, "graph", "complement")
@@ -150,13 +150,13 @@ def _frozen_above_chi(
 ) -> tuple[int | None, list[tuple[int, BlockPartition]]]:
     """chi(g) and the verified frozen k-colourings for k from chi+gap to max_k.
 
-    max_k None means chi+gap alone. A frozen colouring uses all k classes and
-    a frozen vertex sees the other k-1 colours, so k stops at
-    cap = min(n, delta+1, max_k). A greedy clique of cap-gap+1 vertices puts
-    chi+gap above cap, so no k is left to probe: chi is then not computed and
-    comes back as None, with no colourings.
+    max_k None means chi+gap alone. k stops at cap, the smaller of max_k and
+    `frozen_k_bound(g)`, above which no frozen k-colouring exists. A greedy
+    clique of cap-gap+1 vertices puts chi+gap above cap, so no k is left to
+    probe: chi is then not computed and comes back as None, with no
+    colourings.
     """
-    cap = min(g.n, min((g.degree(v) for v in range(g.n)), default=0) + 1)
+    cap = frozen_k_bound(g)
     if max_k is not None:
         cap = min(cap, max_k)
     if _has_greedy_clique(g, cap - gap + 1):

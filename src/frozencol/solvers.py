@@ -50,7 +50,11 @@ def _max_independent_mask(rows: tuple[int, ...], n: int) -> int:
             return
         # Branch on the busiest remaining vertex; taking it shrinks the pool most.
         pivot, pivot_deg = -1, -1
-        for v in bits(pool):
+        rest = pool
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
             d = (rows[v] & pool).bit_count()
             if d > pivot_deg:
                 pivot, pivot_deg = v, d
@@ -172,10 +176,12 @@ def chromatic_number(g: Graph, limit: int = DEFAULT_LIMIT) -> tuple[int, BlockPa
     if g.n == 0:
         return 0, BlockPartition([])
     clique_size, clique = clique_number(g, limit)
-    alpha, _ = independence_number(g, limit)
-    lower = max(clique_size, -(-g.n // alpha))
     greedy = _dsatur_greedy(g)
     upper = max(greedy) + 1
+    lower = clique_size
+    if lower < upper:  # omega = upper leaves no k to try; alpha is not needed
+        alpha, _ = independence_number(g, limit)
+        lower = max(lower, -(-g.n // alpha))
     seed = sorted(clique)
     best = greedy
     for k in range(lower, upper):

@@ -249,6 +249,80 @@ def test_non_isomorphic_same_degree_sequence():
     assert are_isomorphic(cycle_graph(4), graph_from_edges(4, [(0, 1), (2, 3)])) is None
 
 
+def _reference_are_isomorphic(g, h, limit=20):
+    """are_isomorphic testing each candidate edge by edge against placed vertices."""
+    if g.n > limit or h.n > limit:
+        raise ValueError(f"order exceeds isomorphism limit {limit}")
+    if g.n != h.n or g.edge_count != h.edge_count:
+        return None
+    n = g.n
+    deg_g = [g.degree(v) for v in range(n)]
+    deg_h = [h.degree(v) for v in range(n)]
+    if sorted(deg_g) != sorted(deg_h):
+        return None
+
+    def signature(graph, degs, v):
+        return (degs[v], tuple(sorted(degs[u] for u in graph.neighbour_list(v))))
+
+    sig_g = [signature(g, deg_g, v) for v in range(n)]
+    sig_h = [signature(h, deg_h, v) for v in range(n)]
+    if sorted(sig_g) != sorted(sig_h):
+        return None
+    candidates = [[v for v in range(n) if sig_h[v] == sig_g[u]] for u in range(n)]
+    order = []
+    placed = set()
+    while len(order) < n:
+        pool = [u for u in range(n) if u not in placed]
+        touching = [u for u in pool if any(g.has_edge(u, w) for w in order)]
+        u = min(touching or pool, key=lambda u: (len(candidates[u]), u))
+        order.append(u)
+        placed.add(u)
+    mapping = [-1] * n
+    used = [False] * n
+
+    def extend(idx):
+        if idx == n:
+            return True
+        u = order[idx]
+        for v in candidates[u]:
+            if used[v]:
+                continue
+            if any(g.has_edge(u, w) != h.has_edge(v, mapping[w]) for w in order[:idx]):
+                continue
+            mapping[u] = v
+            used[v] = True
+            if extend(idx + 1):
+                return True
+            mapping[u] = -1
+            used[v] = False
+        return False
+
+    return mapping if extend(0) else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=10), st.randoms(use_true_random=False), st.integers(0, 3))
+def test_isomorphism_mapping_matches_reference(g, rng, flips):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    h = relabel(g, perm)
+    # swapping an edge for a non-edge keeps the edge count, often the degrees too
+    other = h
+    for _ in range(flips):
+        edges, non = other.edges(), complement(other).edges()
+        if not edges or not non:
+            break
+        (a, b), (c, d) = rng.choice(edges), rng.choice(non)
+        rows = list(other.rows)
+        rows[a] ^= 1 << b
+        rows[b] ^= 1 << a
+        rows[c] ^= 1 << d
+        rows[d] ^= 1 << c
+        other = Graph(g.n, rows)
+    for target in (h, other, complement(g)):
+        assert are_isomorphic(g, target) == _reference_are_isomorphic(g, target)
+
+
 def test_isomorphism_limit():
     with pytest.raises(ValueError):
         are_isomorphic(empty_graph(21), empty_graph(21))
@@ -306,6 +380,25 @@ def test_graph6_rejects_malformed():
         decode_graph6("A_\x07")
     with pytest.raises(ValueError):
         decode_graph6("~~??????")  # 36-bit order form
+    good = encode_graph6(cycle_graph(5))
+    for bad in (good + "?",  # one body byte too many
+                good[:-1],  # one body byte short
+                good[0] + "\x7f" + good[2:],  # byte above 126
+                "~??",  # truncated long-form header
+                " \t "):  # blank
+        with pytest.raises(ValueError):
+            decode_graph6(bad)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=14), st.booleans())
+def test_trusted_constructions_pass_the_full_checks(g, labelled):
+    if labelled:
+        g = Graph(g.n, g.rows, [f"v{i}" for i in range(g.n)])
+    for built in (decode_graph6(encode_graph6(g)), complement(g)):
+        checked = Graph(built.n, built.rows, built.labels)
+        assert checked == built and checked.labels == built.labels
+    assert complement(g).labels == g.labels
 
 
 # -- DIMACS and JSON -------------------------------------------------------------

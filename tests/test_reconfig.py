@@ -16,6 +16,7 @@ from frozencol.graph import (
     complete_graph,
     cycle_graph,
     graph_from_edges,
+    join,
     path_graph,
 )
 from frozencol.partitions import BlockPartition, is_frozen_colouring, is_proper_colouring
@@ -24,6 +25,7 @@ from frozencol.reconfig import (
     colouring_degree,
     enumerate_colourings,
     find_frozen,
+    frozen_k_bound,
     is_k_mixing,
     proper_colour_vectors,
     recolourable_up_to,
@@ -432,6 +434,39 @@ def test_witness_classes_are_maximal_independent_sets(g, k):
             if mask >> v & 1:
                 dominated |= g.rows[v]
         assert dominated == everyone
+
+
+@given(_graphs_up_to(8))
+@settings(max_examples=300, deadline=None)
+def test_no_frozen_colouring_above_the_bound(g):
+    bound = frozen_k_bound(g)
+    assert 0 <= bound <= g.n
+    for k in range(bound + 1, g.n + 1):
+        assert _reference_find_frozen(g, k) is None
+
+
+def _cocktail_party(m):
+    """K_{2m} minus the perfect matching {2i, 2i+1}."""
+    return graph_from_edges(2 * m, [(u, v) for u, v in itertools.combinations(range(2 * m), 2)
+                                    if u // 2 != v // 2])
+
+
+def test_frozen_k_bound_is_tight():
+    for n in range(1, 7):
+        assert frozen_k_bound(complete_graph(n)) == n
+        assert find_frozen(complete_graph(n), n) is not None
+    for m in range(1, 6):
+        g = _cocktail_party(m)
+        assert frozen_k_bound(g) == m
+        assert find_frozen(g, m).to_colours() == [i // 2 for i in range(2 * m)]
+        assert _reference_find_frozen(g, m + 1) is None
+    # a universal vertex joined to the m = 3 graph: 1 + 6 // 2 = 4 < delta + 1 = 6 < n = 7
+    hub = join(complete_graph(1), _cocktail_party(3))
+    assert frozen_k_bound(hub) == 4
+    assert find_frozen(hub, 4).to_colours() == [0, 1, 1, 2, 2, 3, 3]
+    assert _reference_find_frozen(hub, 5) is None
+    assert frozen_k_bound(graph_from_edges(0, [])) == 0
+    assert frozen_k_bound(cycle_graph(5)) == 2
 
 
 def test_find_frozen_on_disjoint_triangles():

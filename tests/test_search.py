@@ -280,10 +280,14 @@ def test_clique_gate_fires_on_pendant_vertex():
         assert search.frozen_gap_finder(g, 6) == []
 
 
-def test_clique_gate_passes_c5_without_hits():
-    # C5 is triangle-free, so the gate cannot rule out k = 3 = min(n, delta+1)
-    assert search._frozen_above_chi(cycle_graph(5), 1, None) == (3, [])
-    assert search._frozen_above_chi(cycle_graph(5), 1, 5) == (3, [])
+def test_clique_gate_fires_on_c5_passes_c7():
+    # C5 has no universal vertex, so its cap is 0 + 5 // 2 = 2: any edge fires
+    with patch.object(search, "chromatic_number", _no_chi):
+        assert search._frozen_above_chi(cycle_graph(5), 1, None) == (None, [])
+        assert search._frozen_above_chi(cycle_graph(5), 1, 5) == (None, [])
+    # C7 is triangle-free, so the gate cannot rule out k = 3 = min(7 // 2, delta+1)
+    assert search._frozen_above_chi(cycle_graph(7), 1, None) == (3, [])
+    assert search._frozen_above_chi(cycle_graph(7), 1, 5) == (3, [])
 
 
 # --- cross-checks ---

@@ -224,6 +224,46 @@ def _reference_try_colouring(g, k, seed):
     return None
 
 
+def _reference_max_independent_mask(rows, n):
+    best = [S._greedy_independent(rows, (1 << n) - 1)]
+
+    def grow(pool, cur, cur_size):
+        if cur_size + pool.bit_count() <= best[0].bit_count():
+            return
+        if not pool:
+            best[0] = cur
+            return
+        pivot, pivot_deg = -1, -1
+        for v in bits(pool):
+            d = (rows[v] & pool).bit_count()
+            if d > pivot_deg:
+                pivot, pivot_deg = v, d
+        grow(pool & ~rows[pivot] & ~(1 << pivot), cur | 1 << pivot, cur_size + 1)
+        grow(pool & ~(1 << pivot), cur, cur_size)
+
+    grow((1 << n) - 1, 0, 0)
+    return best[0]
+
+
+def _reference_chromatic_number(g):
+    """chromatic_number computing both lower bounds up front."""
+    if g.n == 0:
+        return 0, BlockPartition([])
+    clique_size, clique = clique_number(g)
+    alpha, _ = independence_number(g)
+    lower = max(clique_size, -(-g.n // alpha))
+    greedy = S._dsatur_greedy(g)
+    upper = max(greedy) + 1
+    best = greedy
+    for k in range(lower, upper):
+        attempt = S._try_colouring(g, k, sorted(clique))
+        if attempt is not None:
+            best = attempt
+            break
+    chi = max(best) + 1
+    return chi, BlockPartition.from_colours(best, chi)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 14), st.floats(0, 1), st.integers(0, 2**30))
 def test_dsatur_kernels_match_reference(n, p, seed):
@@ -233,10 +273,28 @@ def test_dsatur_kernels_match_reference(n, p, seed):
     for k in range(1, n + 1):
         for pinned in ([], clique, clique[:1]):
             assert S._try_colouring(g, k, pinned) == _reference_try_colouring(g, k, pinned)
+    for rows in (g.rows, complement(g).rows):
+        assert S._max_independent_mask(rows, n) == _reference_max_independent_mask(rows, n)
     with patch.object(S, "_dsatur_greedy", _reference_dsatur_greedy), \
-            patch.object(S, "_try_colouring", _reference_try_colouring):
-        expected = chromatic_number(g)
+            patch.object(S, "_try_colouring", _reference_try_colouring), \
+            patch.object(S, "_max_independent_mask", _reference_max_independent_mask):
+        expected = _reference_chromatic_number(g)
     assert chromatic_number(g) == expected
+
+
+def test_alpha_is_solved_only_when_the_clique_misses_the_greedy_bound():
+    calls = []
+    solve = S.independence_number
+
+    def counted(g, limit=S.DEFAULT_LIMIT):
+        calls.append(g)
+        return solve(g, limit)
+
+    with patch.object(S, "independence_number", counted):
+        assert chromatic_number(complete_graph(4))[0] == 4
+        assert len(calls) == 1  # the clique search on the complement only
+        assert chromatic_number(cycle_graph(5))[0] == 3
+        assert len(calls) == 3  # omega = 2 < 3 = greedy: alpha bounds chi
 
 
 def test_try_colouring_rejects_repeated_seed_vertex():
