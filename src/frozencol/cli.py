@@ -365,6 +365,11 @@ def subdivide(graph: str, x: int, y: int, certs: str | None, strict_c4: bool,
     if theta_check:
         result = with_theta_check(result, g, q.k)
         require(result.theta_incremented is not False, "cover number did not rise by one")
+    if verify:
+        require(is_clique_partition(result.graph_out, result.q_out),
+                "transported clique partition failed verification")
+        require(is_frozen_clique_partition(result.graph_out, result.f_out),
+                "transported frozen partition failed verification")
     payload = {
         "graph6": encode_graph6(result.graph_out),
         "graph": graph_to_json(result.graph_out),

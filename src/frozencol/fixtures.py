@@ -142,84 +142,37 @@ def figure_panel_payload(name: str, panel: str) -> dict:
     }
 
 
-def _degree_range(g: Graph) -> tuple[int, int]:
-    degrees = [g.degree(v) for v in range(g.n)]
-    return min(degrees), max(degrees)
-
-
-def _me_theta(q: int) -> int:
-    return (3 * q + 2) // 2 if q % 2 == 0 else (3 * q + 3) // 2
-
-
-def _me_rows(side: str) -> list[dict]:
-    rows = []
-    for q in range(2, 9):
-        inst = me_complement(q)
-        g = inst.graph if side == "complement" else complement(inst.graph)
-        lo, hi = _degree_range(g)
-        rows.append({
-            "q": q,
-            "n": g.n,
-            "min_degree": lo,
-            "max_degree": hi,
-            "edges": g.edge_count,
-            "theta" if side == "complement" else "chi": _me_theta(q),
-            "frozen_blocks": inst.frozen.k,
-            "gap": inst.frozen.k - _me_theta(q),
-        })
-    return rows
-
-
-def _km_rows() -> list[dict]:
-    rows = []
-    for q in range(2, 9):
-        inst = km_complement(q)
-        g = complement(inst.graph)
-        lo, hi = _degree_range(g)
-        rows.append({
-            "q": q,
-            "n": g.n,
-            "min_degree": lo,
-            "max_degree": hi,
-            "edges": g.edge_count,
-            "chi": 2 * q,
-            "frozen_blocks": inst.frozen.k,
-            "gap": 1,
-        })
-    return rows
-
-
-def _ke_rows() -> list[dict]:
-    rows = []
-    for q in range(1, 9):
-        inst = ke_complement(q)
-        g = complement(inst.graph)
-        lo, hi = _degree_range(g)
-        rows.append({
-            "q": q,
-            "n": g.n,
-            "min_degree": lo,
-            "max_degree": hi,
-            "edges": g.edge_count,
-            "chi": 2 * q,
-            "frozen_blocks": inst.frozen.k,
-            "gap": q,
-        })
-    return rows
+# table -> (builder, parameter range, whether rows describe the complement of
+# the built graph, name of the tabulated cover number theta = chi of the complement)
+_TABLES = {
+    "me_complement": (me_complement, range(2, 9), False, "theta"),
+    "me": (me_complement, range(2, 9), True, "chi"),
+    "km": (km_complement, range(2, 9), True, "chi"),
+    "ke": (ke_complement, range(1, 9), True, "chi"),
+}
+TABLE_NAMES = tuple(_TABLES)
 
 
 def table_payload(table: str) -> dict:
     """Expected-invariant rows for one family parameter table."""
-    rows = {
-        "me_complement": lambda: _me_rows("complement"),
-        "me": lambda: _me_rows("original"),
-        "km": _km_rows,
-        "ke": _ke_rows,
-    }[table]()
+    build, params, flip, key = _TABLES[table]
+    rows = []
+    for q in params:
+        inst = build(q)
+        g = complement(inst.graph) if flip else inst.graph
+        degrees = [g.degree(v) for v in range(g.n)]
+        theta = inst.expected.theta
+        rows.append({
+            "q": q,
+            "n": g.n,
+            "min_degree": min(degrees),
+            "max_degree": max(degrees),
+            "edges": g.edge_count,
+            key: theta,
+            "frozen_blocks": inst.frozen.k,
+            "gap": inst.frozen.k - theta,
+        })
     return {"table": table, "rows": rows}
-
-
-TABLE_NAMES = ("me_complement", "me", "km", "ke")
 
 
 def fixture_payloads() -> dict[str, dict]:

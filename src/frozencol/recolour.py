@@ -158,65 +158,60 @@ def _sealed(g: Graph, start: BlockPartition, moves, ell: int,
 
 @dataclass(frozen=True)
 class CanonicalContext:
-    """Target partition A_1, A_2(, A_3) with A_1 maximal independent.
+    """Target partition A_1, A_2(, A_3) of graph, A_1 maximal independent.
 
-    complete_vertices holds, for each later part, the A_1 vertex maximising
-    its neighbour count into that part; on a 2K2-free graph that vertex is
-    complete to the part (checked by complete_vertex, not here).
+    The parts are independent, disjoint and cover the vertices; part j is
+    the class that ends on colour j. Checked once, when it is built, so the
+    stages that take a context trust it.
     """
 
+    graph: Graph
     parts: tuple
-    complete_vertices: tuple
-    target_colours: tuple
 
     def __post_init__(self):
-        if not self.parts or not self.parts[0]:
+        g, parts = self.graph, self.parts
+        if not parts or not parts[0]:
             raise ValueError("first part must be nonempty")
-        if len(self.complete_vertices) != len(self.parts) - 1:
-            raise ValueError("need one candidate vertex per later part")
-        if len(self.target_colours) != len(self.parts):
-            raise ValueError("need one target colour per part")
-        for x in self.complete_vertices:
-            if x not in self.parts[0]:
-                raise ValueError(f"candidate {x} outside the first part")
+        if len(parts) not in (2, 3):
+            raise ValueError("need two or three parts")
+        covered = 0
+        for i, part in enumerate(parts):
+            mask = sum(1 << u for u in part)
+            if any(g.rows[v] & mask for v in part):
+                raise ValueError(f"part {i} is not independent")
+            if covered & mask:
+                raise ValueError("parts overlap")
+            covered |= mask
+        if covered != (1 << g.n) - 1:
+            raise ValueError("parts do not cover the vertex set")
+        first = sum(1 << u for u in parts[0])
+        for v in range(g.n):
+            if not (first >> v) & 1 and not g.rows[v] & first:
+                raise ValueError(f"first part is not maximal: vertex {v} fits")
 
 
-def _check_parts(g: Graph, parts) -> None:
-    seen: set[int] = set()
-    for i, part in enumerate(parts):
-        mask = sum(1 << u for u in part)
-        if any(g.rows[v] & mask for v in part):
-            raise ValueError(f"part {i} is not independent")
-        if part & seen:
-            raise ValueError("parts overlap")
-        seen |= part
-    if seen != set(range(g.n)):
-        raise ValueError("parts do not cover the vertex set")
-    first = parts[0]
-    for v in range(g.n):
-        if v not in first and not any(g.has_edge(v, u) for u in first):
-            raise ValueError(f"first part is not maximal: vertex {v} fits")
-
-
-def _check_start(g: Graph, ctx: CanonicalContext, start: BlockPartition, ell: int,
+def _check_start(ctx: CanonicalContext, start: BlockPartition, ell: int,
                  parts: int, name: str = "start") -> None:
     """Entry checks of the canonical stages: part count, colour budget, start."""
     if len(ctx.parts) != parts:
         raise ValueError(f"need a {('two', 'three')[parts - 2]}-part context")
     if ell < parts + 1:
         raise ValueError(f"need at least {parts + 1} colours")
-    if start.k != ell or not is_proper_colouring(g, start):
+    if start.k != ell or not is_proper_colouring(ctx.graph, start):
         raise ValueError(f"{name} must be a proper colouring on ell blocks")
-    _check_parts(g, ctx.parts)
+
+
+def _most_adjacent(g: Graph, candidates, targets) -> int:
+    """The candidate with the most neighbours in targets, ties to the least index."""
+    mask = sum(1 << u for u in targets)
+    return min(candidates, key=lambda x: (-(g.rows[x] & mask).bit_count(), x))
 
 
 def maximal_first_partition(g: Graph, parts_needed: int) -> CanonicalContext:
     """Partition into independent parts with the first grown maximal.
 
-    Starts from a minimum colouring, absorbs into the first part, in index
-    order, every vertex with no neighbour there, and picks for each later
-    part the first-part vertex with the most neighbours in it (ties by
-    index).
+    Starts from a minimum colouring and absorbs into the first part, in
+    index order, every vertex with no neighbour there.
     """
     if parts_needed not in (2, 3):
         raise ValueError("parts_needed must be 2 or 3")
@@ -230,33 +225,24 @@ def maximal_first_partition(g: Graph, parts_needed: int) -> CanonicalContext:
     for v in range(g.n):
         if v not in first and not any(g.has_edge(v, u) for u in first):
             first.add(v)
-    parts = [frozenset(first)]
-    for b in blocks[1:]:
-        parts.append(frozenset(b - first))
-    candidates = []
-    for part in parts[1:]:
-        best = min(
-            sorted(parts[0]),
-            key=lambda x: (-sum(1 for u in part if g.has_edge(x, u)), x),
-        )
-        candidates.append(best)
-    ctx = CanonicalContext(tuple(parts), tuple(candidates), tuple(range(parts_needed)))
-    _check_parts(g, ctx.parts)
-    return ctx
+    first = frozenset(first)
+    return CanonicalContext(g, (first,) + tuple(b - first for b in blocks[1:]))
 
 
-def complete_vertex(g: Graph, ctx: CanonicalContext, j: int) -> int:
+def complete_vertex(ctx: CanonicalContext, j: int) -> int:
     """The first-part vertex complete to part j (1-indexed into ctx.parts).
 
-    Exists on every 2K2-free graph; a 2K2 is reported otherwise.
+    It is the first-part vertex with the most neighbours in part j, ties by
+    index. Exists on every 2K2-free graph; a 2K2 is reported otherwise.
     """
     if not 1 <= j < len(ctx.parts):
         raise ValueError(f"no part {j} beyond the first")
+    g = ctx.graph
     witness = _two_k2(g)
     if witness is not None:
         raise ValueError(f"graph contains an induced 2K2 on {witness}")
     part = ctx.parts[j]
-    x = ctx.complete_vertices[j - 1]
+    x = _most_adjacent(g, ctx.parts[0], part)
     missing = [u for u in part if not g.has_edge(x, u)]
     require(not missing, f"candidate {x} misses {missing} despite 2K2-freeness")
     return x
@@ -329,7 +315,7 @@ def rename_moves(g: Graph, beta: BlockPartition, gamma: BlockPartition, ell: int
 
 
 def bipartite_canonical_moves(
-    g: Graph, ctx: CanonicalContext, beta: BlockPartition, ell: int
+    ctx: CanonicalContext, beta: BlockPartition, ell: int
 ) -> MoveSequence:
     """Reach a colouring monochromatic on both parts, one move per vertex.
 
@@ -337,8 +323,9 @@ def bipartite_canonical_moves(
     part (so nothing over there blocks it), then the second part goes to the
     smallest other colour.
     """
-    _check_start(g, ctx, beta, ell, 2)
-    x = complete_vertex(g, ctx, 1)
+    _check_start(ctx, beta, ell, 2)
+    g = ctx.graph
+    x = complete_vertex(ctx, 1)
     rec = _Recorder(g, beta, ell)
     c0 = rec.cols[x]
     for v in sorted(ctx.parts[0]):
@@ -355,7 +342,7 @@ def _two_smallest_other(ell: int, banned: int) -> tuple[int, int]:
 
 
 def single_colour_part_moves(
-    g: Graph, ctx: CanonicalContext, psi: BlockPartition, i: int, ell: int
+    ctx: CanonicalContext, psi: BlockPartition, i: int, ell: int
 ) -> MoveSequence:
     """Canonicalise a colouring whose part i is monochromatic (fold-and-shift).
 
@@ -368,7 +355,8 @@ def single_colour_part_moves(
     X'-and-Y to d2, then shift X and Y onto their target colours and finally
     fold the stray c_i-coloured vertices into their parts.
     """
-    _check_start(g, ctx, psi, ell, 3, "psi")
+    _check_start(ctx, psi, ell, 3, "psi")
+    g = ctx.graph
     if not 0 <= i < 3:
         raise ValueError("part index out of range")
     witness = _two_k2(g)
@@ -408,10 +396,7 @@ def single_colour_part_moves(
         if x_fold:
             if y_rest:
                 # a fold vertex complete to the rest exists since g is 2K2-free
-                star = min(
-                    sorted(x_fold),
-                    key=lambda x: (-sum(1 for u in y_rest if g.has_edge(x, u)), x),
-                )
+                star = _most_adjacent(g, x_fold, y_rest)
                 require(all(g.has_edge(star, u) for u in y_rest),
                         "no fold vertex is complete to the rest despite 2K2-freeness")
             else:
@@ -438,9 +423,7 @@ def single_colour_part_moves(
     return seq
 
 
-def canonical_moves(
-    g: Graph, ctx: CanonicalContext, beta: BlockPartition, ell: int
-) -> MoveSequence:
+def canonical_moves(ctx: CanonicalContext, beta: BlockPartition, ell: int) -> MoveSequence:
     """Reach the exact target colouring of ctx, at most 6 moves per vertex.
 
     Decision tree: a part with a vertex dominating everything outside it can
@@ -451,21 +434,22 @@ def canonical_moves(
     a part free of some colour entirely. Each branch lands in
     single_colour_part_moves and a final renaming onto the target colours.
     """
-    _check_start(g, ctx, beta, ell, 3)
+    _check_start(ctx, beta, ell, 3)
+    g = ctx.graph
     chi, _ = _chi(g)
     if chi != 3:
         raise ValueError(f"pipeline covers 3-chromatic graphs, got chi={chi}")
-    x2 = complete_vertex(g, ctx, 1)
-    x3 = complete_vertex(g, ctx, 2)
+    x2 = complete_vertex(ctx, 1)
+    x3 = complete_vertex(ctx, 2)
 
     rec = _Recorder(g, beta, ell)
     nbrs = rec.nbrs
 
     def finish(part_index: int) -> MoveSequence:
-        sub = single_colour_part_moves(g, ctx, rec.partition(), part_index, ell)
+        sub = single_colour_part_moves(ctx, rec.partition(), part_index, ell)
         rec.extend(sub)
         target_cols = [0] * g.n
-        for part, colour in zip(ctx.parts, ctx.target_colours):
+        for colour, part in enumerate(ctx.parts):
             for v in part:
                 target_cols[v] = colour
         gamma = BlockPartition.from_colours(target_cols, ell)
@@ -573,8 +557,8 @@ def path_between(g: Graph, beta: BlockPartition, gamma: BlockPartition, ell: int
     if ell < parts + 1:
         raise ValueError(f"need at least {parts + 1} colours")
     ctx = maximal_first_partition(g, parts)
-    s1 = canonical(g, ctx, beta, ell)
-    s2 = canonical(g, ctx, gamma, ell)
+    s1 = canonical(ctx, beta, ell)
+    s2 = canonical(ctx, gamma, ell)
     bridge = rename_moves(g, s1.end_partition(), s2.end_partition(), ell)
     cols, back = gamma.to_colours(), []  # s2 travelled from its end back to gamma
     for v, c in s2.moves:

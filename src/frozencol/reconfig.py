@@ -149,18 +149,15 @@ class ReconfigReport:
     component_count: int
     component_sizes: tuple
     frozen_colourings: tuple
-    diameter: object = None
     truncated: bool = False
 
     def to_json(self) -> dict:
-        d = self.diameter
         return {
             "k": self.k,
             "colouring_count": self.colouring_count,
             "component_count": self.component_count,
             "component_sizes": list(self.component_sizes),
             "frozen_colourings": [p.to_json() for p in self.frozen_colourings],
-            "diameter": list(d) if isinstance(d, tuple) else d,
             "truncated": self.truncated,
         }
 

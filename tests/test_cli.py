@@ -251,6 +251,21 @@ def test_subdivide_with_certificates(runner, tmp_path):
     assert is_frozen_clique_partition(g, f)
 
 
+@pytest.mark.parametrize("flag, code", [("--verify", 1), ("--no-verify", 0)])
+def test_subdivide_verify_rechecks_transported_certificates(runner, tmp_path, monkeypatch,
+                                                            flag, code):
+    certs = tmp_path / "certs.json"
+    certs.write_text(json.dumps({
+        key: {k: json.loads(Path(path).read_text())[k] for k in ("k", "blocks")}
+        for key, path in (("clique_partition", ME2_LEFT), ("frozen_partition", ME2_RIGHT))
+    }))
+    monkeypatch.setattr(cli, "is_frozen_clique_partition", _false)
+    result = runner.invoke(main, ["subdivide", ME2_RIGHT, "--x", "7", "--y", "8",
+                                  "--certs", str(certs), flag])
+    assert result.exit_code == code
+    assert result.stderr.startswith("verification failed: ") == (code == 1)
+
+
 # -- recolour -------------------------------------------------------------------
 
 

@@ -161,8 +161,7 @@ def test_rename_property_random_permutations(mask, seed):
 def test_maximal_first_partition_grows_first_part():
     ctx = maximal_first_partition(cycle_graph(5), 3)
     assert [sorted(p) for p in ctx.parts] == [[0, 2], [1, 3], [4]]
-    assert ctx.complete_vertices == (2, 0)
-    assert ctx.target_colours == (0, 1, 2)
+    assert (complete_vertex(ctx, 1), complete_vertex(ctx, 2)) == (2, 0)
 
 
 def test_maximal_first_partition_star_centre_blocks_growth():
@@ -187,15 +186,41 @@ def test_maximal_first_partition_is_deterministic():
 
 def test_context_rejects_bad_shapes():
     with pytest.raises(ValueError, match="nonempty"):
-        CanonicalContext((frozenset(),), (), (0,))
-    with pytest.raises(ValueError, match="candidate"):
-        CanonicalContext((frozenset({0}), frozenset({1})), (1,), (0, 1))
+        CanonicalContext(empty_graph(1), (frozenset(),))
+
+
+@pytest.mark.parametrize("parts, message", [
+    (({0, 2}, {1, 3, 4}), "part 1 is not independent"),
+    (({0, 2}, {1, 3}, {2, 4}), "parts overlap"),
+    (({0, 2}, {1, 3}), "parts do not cover the vertex set"),
+    (({0}, {1, 3}, {2, 4}), "first part is not maximal: vertex 2 fits"),
+    (((), {0, 2}, {1, 3, 4}), "first part must be nonempty"),
+    (({0, 2}, {1, 3}, {4}, ()), "need two or three parts"),
+])
+def test_context_rejects_invalid_partitions(parts, message):
+    with pytest.raises(ValueError, match=message):
+        CanonicalContext(cycle_graph(5), tuple(frozenset(p) for p in parts))
+
+
+def test_path_between_checks_its_context_once(monkeypatch):
+    calls = []
+    check = CanonicalContext.__post_init__
+
+    def counted(ctx):
+        calls.append(ctx)
+        check(ctx)
+
+    monkeypatch.setattr(CanonicalContext, "__post_init__", counted)
+    g = cycle_graph(5)
+    seq = path_between(g, colouring([0, 1, 0, 1, 2], 4), colouring([3, 2, 3, 0, 1], 4), 4)
+    assert len(seq) > 0
+    assert len(calls) == 1
 
 
 def test_complete_vertex_on_complete_bipartite():
     g = join(empty_graph(2), empty_graph(3))
     ctx = maximal_first_partition(g, 2)
-    x = complete_vertex(g, ctx, 1)
+    x = complete_vertex(ctx, 1)
     assert all(g.has_edge(x, u) for u in ctx.parts[1])
 
 
@@ -203,18 +228,14 @@ def test_complete_vertex_vacuous_on_empty_part():
     g = path_graph(3)  # chi = 2, third part empty
     ctx = maximal_first_partition(g, 3)
     assert ctx.parts[2] == frozenset()
-    assert complete_vertex(g, ctx, 2) in ctx.parts[0]
+    assert complete_vertex(ctx, 2) in ctx.parts[0]
 
 
 def test_complete_vertex_reports_2k2_witness():
     g = complement(b_t(3).graph)  # K_{3,3} minus a perfect matching contains 2K2
-    ctx = CanonicalContext(
-        (frozenset({0, 1, 2}), frozenset({3, 4, 5})),
-        (0,),
-        (0, 1),
-    )
+    ctx = CanonicalContext(g, (frozenset({0, 1, 2}), frozenset({3, 4, 5})))
     with pytest.raises(ValueError, match="2K2"):
-        complete_vertex(g, ctx, 1)
+        complete_vertex(ctx, 1)
 
 
 # -- bipartite pipeline ------------------------------------------------------------
@@ -224,7 +245,7 @@ def test_bipartite_canonical_single_move_each():
     g = cycle_graph(4)
     ctx = maximal_first_partition(g, 2)
     beta = colouring([0, 1, 2, 1], 3)
-    seq = bipartite_canonical_moves(g, ctx, beta, 3)
+    seq = bipartite_canonical_moves(ctx, beta, 3)
     assert seq.max_per_vertex() <= 1
     end = seq.end_colours()
     assert len({end[v] for v in ctx.parts[0]}) == 1
@@ -236,7 +257,7 @@ def test_bipartite_exhaustive_families():
         ctx = maximal_first_partition(g, 2)
         for ell in (3, 4):
             for vec in proper_colour_vectors(g, ell):
-                seq = bipartite_canonical_moves(g, ctx, colouring(vec, ell), ell)
+                seq = bipartite_canonical_moves(ctx, colouring(vec, ell), ell)
                 assert seq.max_per_vertex() <= 1
 
 
@@ -244,7 +265,7 @@ def test_bipartite_rejects_2k2_graph():
     g = path_graph(5)  # the two end edges form an induced 2K2
     ctx = maximal_first_partition(g, 2)
     with pytest.raises(ValueError, match="2K2"):
-        bipartite_canonical_moves(g, ctx, colouring([0, 1, 0, 1, 0], 3), 3)
+        bipartite_canonical_moves(ctx, colouring([0, 1, 0, 1, 0], 3), 3)
 
 
 # -- monochromatic-part canonicalisation --------------------------------------------
@@ -257,7 +278,7 @@ def c5_ctx():
 def test_single_colour_part_reaches_two_smallest_colours():
     g, ctx = c5_ctx()  # parts ({0,2}, {1,3}, {4})
     psi = colouring([2, 0, 2, 3, 1], 4)  # part 0 monochromatic in colour 2
-    seq = single_colour_part_moves(g, ctx, psi, 0, 4)
+    seq = single_colour_part_moves(ctx, psi, 0, 4)
     assert seq.max_per_vertex() <= 4
     counts = seq.per_vertex_counts()
     assert counts[0] == 0 and counts[2] == 0
@@ -270,7 +291,7 @@ def test_single_colour_part_handles_stray_vertices():
     # fold back into their own parts at the end
     g, ctx = c5_ctx()
     psi = colouring([0, 1, 2, 1, 2], 4)  # part 2 holds colour 2, vertex 2 too
-    seq = single_colour_part_moves(g, ctx, psi, 2, 4)
+    seq = single_colour_part_moves(ctx, psi, 2, 4)
     counts = seq.per_vertex_counts()
     assert counts[4] == 0
     assert counts[2] >= 1  # the stray moved back into its own part's colour
@@ -280,7 +301,7 @@ def test_single_colour_part_handles_stray_vertices():
 def test_single_colour_part_already_canonical_is_a_renaming():
     g, ctx = c5_ctx()
     psi = colouring([3, 0, 3, 0, 1], 4)  # canonical partition, part 0 on colour 3
-    seq = single_colour_part_moves(g, ctx, psi, 0, 4)
+    seq = single_colour_part_moves(ctx, psi, 0, 4)
     assert all(seq.per_vertex_counts()[v] == 0 for v in ctx.parts[0])
     assert seq.max_per_vertex() <= 2  # pure renaming of the other two parts
     assert seq.end_colours() == [3, 0, 3, 0, 1]
@@ -289,15 +310,15 @@ def test_single_colour_part_already_canonical_is_a_renaming():
 def test_single_colour_part_exact_target_is_empty():
     g, ctx = c5_ctx()
     psi = colouring([2, 0, 2, 0, 1], 4)
-    assert single_colour_part_moves(g, ctx, psi, 0, 4).moves == ()
+    assert single_colour_part_moves(ctx, psi, 0, 4).moves == ()
 
 
 def test_single_colour_part_validates_input():
     g, ctx = c5_ctx()
     with pytest.raises(ValueError, match="at least 4"):
-        single_colour_part_moves(g, ctx, colouring([2, 0, 2, 0, 1], 3), 0, 3)
+        single_colour_part_moves(ctx, colouring([2, 0, 2, 0, 1], 3), 0, 3)
     with pytest.raises(ValueError, match="need one"):
-        single_colour_part_moves(g, ctx, colouring([2, 0, 3, 0, 1], 4), 0, 4)
+        single_colour_part_moves(ctx, colouring([2, 0, 3, 0, 1], 4), 0, 4)
 
 
 def test_single_colour_part_exhaustive_c5():
@@ -308,7 +329,7 @@ def test_single_colour_part_exhaustive_c5():
             if len({vec[v] for v in ctx.parts[i]}) != 1:
                 continue
             hit += 1
-            seq = single_colour_part_moves(g, ctx, colouring(vec, 4), i, 4)
+            seq = single_colour_part_moves(ctx, colouring(vec, 4), i, 4)
             counts = seq.per_vertex_counts()
             assert all(counts[v] == 0 for v in ctx.parts[i])
             assert seq.max_per_vertex() <= 4
@@ -321,10 +342,10 @@ def test_single_colour_part_exhaustive_c5():
 
 
 def assert_canonical_run(g, ctx, beta, ell):
-    seq = canonical_moves(g, ctx, beta, ell)
+    seq = canonical_moves(ctx, beta, ell)
     assert seq.max_per_vertex() <= 6
     end = seq.end_colours()
-    for part, colour in zip(ctx.parts, ctx.target_colours):
+    for colour, part in enumerate(ctx.parts):
         assert all(end[v] == colour for v in part)
     return seq
 
@@ -340,9 +361,9 @@ def test_canonical_equal_anchor_colours():
     # both complete vertices share a colour: the first part monochromes at once
     g = graph_from_edges(5, [(0, 3), (0, 4), (1, 2), (1, 4), (2, 3)])
     ctx = maximal_first_partition(g, 3)
-    assert ctx.complete_vertices[0] != ctx.complete_vertices[1]
+    x2, x3 = complete_vertex(ctx, 1), complete_vertex(ctx, 2)
+    assert x2 != x3
     beta = colouring([0, 1, 0, 1, 2], 4)
-    x2, x3 = ctx.complete_vertices
     assert beta.to_colours()[x2] == beta.to_colours()[x3]
     assert_canonical_run(g, ctx, beta, 4)
 
@@ -379,17 +400,15 @@ def test_canonical_case_both_extras_on_both_parts():
 
 def test_canonical_rejects_wrong_chromatic_number():
     g = cycle_graph(4)
-    ctx3 = CanonicalContext(
-        (frozenset({0, 2}), frozenset({1, 3}), frozenset()), (0, 0), (0, 1, 2)
-    )
+    ctx3 = CanonicalContext(g, (frozenset({0, 2}), frozenset({1, 3}), frozenset()))
     with pytest.raises(ValueError, match="3-chromatic"):
-        canonical_moves(g, ctx3, colouring([0, 1, 0, 1], 4), 4)
+        canonical_moves(ctx3, colouring([0, 1, 0, 1], 4), 4)
 
 
 def test_canonical_rejects_small_budget():
     g, ctx = c5_ctx()
     with pytest.raises(ValueError, match="at least 4"):
-        canonical_moves(g, ctx, colouring([0, 1, 0, 1, 2], 3), 3)
+        canonical_moves(ctx, colouring([0, 1, 0, 1, 2], 3), 3)
 
 
 def test_canonical_exhaustive_c5():
