@@ -464,6 +464,8 @@ def search(stream: str | None, exhaustive: int | None, gap: int, max_k: int | No
            two_k2_free: str | None, p5_free: str | None, c4_free: str | None,
            checkpoint: str | None, out: str | None) -> None:
     """Scan graphs for frozen colourings above the chromatic number."""
+    if exhaustive is not None and (stream is not None or checkpoint is not None):
+        raise UsageFailure("--exhaustive cannot be combined with --stream or --checkpoint")
     if stream is None and exhaustive is None:
         stream = "-"
     spec = PredicateSpec(gap=gap, max_k=max_k, two_k2_free=two_k2_free,

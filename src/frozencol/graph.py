@@ -15,8 +15,6 @@ from collections.abc import Iterable, Iterator, Sequence
 # Closed set of induced patterns the detectors know about.
 PATTERNS = ("C4", "2K2", "P4", "P5", "K3", "DIAMOND")
 
-ISO_DEFAULT_LIMIT = 20
-
 
 class CertificateError(AssertionError):
     """A certificate, witness or bound failed its re-check.
@@ -401,17 +399,15 @@ def is_diamond_middle_edge(g: Graph, x: int, y: int) -> bool:
     return False
 
 
-# -- isomorphism (small instances) ------------------------------------------
+# -- isomorphism -------------------------------------------------------------
 
 
-def are_isomorphic(g: Graph, h: Graph, limit: int = ISO_DEFAULT_LIMIT) -> list[int] | None:
+def are_isomorphic(g: Graph, h: Graph) -> list[int] | None:
     """Backtracking isomorphism search with degree/neighbourhood pruning.
 
-    Returns mapping[u of g] = vertex of h, or None. Intended for order <=
-    `limit`; the returned mapping is re-verified edge by edge before return.
+    Returns mapping[u of g] = vertex of h, or None. Any order is accepted;
+    the returned mapping is re-verified edge by edge before return.
     """
-    if g.n > limit or h.n > limit:
-        raise ValueError(f"order exceeds isomorphism limit {limit}")
     if g.n != h.n or g.edge_count != h.edge_count:
         return None
     n = g.n

@@ -126,12 +126,6 @@ def proper_colour_vectors(g: Graph, k: int, cap: int = DEFAULT_COLOURING_CAP):
         yield tuple(cols)
 
 
-def enumerate_colourings(g: Graph, k: int, cap: int = DEFAULT_COLOURING_CAP):
-    """Yield every proper k-colouring as a BlockPartition, lexicographically."""
-    for vec in proper_colour_vectors(g, k, cap):
-        yield BlockPartition.from_colours(vec, k)
-
-
 def colouring_degree(g: Graph, p: BlockPartition) -> int:
     """Number of neighbours of this colouring in R_k(g), k = p.k."""
     if not is_proper_colouring(g, p):

@@ -173,52 +173,47 @@ def _frozen_above_chi(
     return chi, found
 
 
-def _graph_hits(g: Graph, spec: PredicateSpec) -> list[Hit]:
-    chi, found = _frozen_above_chi(g, spec.gap, spec.max_k)
-    return [Hit(encode_graph6(g), chi, k, w.to_colour_line()) for k, w in found]
-
-
-def _deduplicate(hits: list[Hit]) -> tuple[list[Hit], int]:
+def _deduplicate(found: list[tuple[Hit, Graph]]) -> tuple[list[Hit], int]:
     """Keep one hit per (isomorphism class, k), in (n, graph6, k) order."""
-    decoded = [(hit, decode_graph6(hit.graph6)) for hit in hits]
-    decoded.sort(key=lambda pair: (pair[1].n, pair[0].graph6, pair[0].k))
-    kept: list[Hit] = []
-    kept_graphs: list[Graph] = []
-    dropped = 0
-    for hit, g in decoded:
-        duplicate = False
-        for other_hit, other_g in zip(kept, kept_graphs):
-            if other_hit.k == hit.k and are_isomorphic(g, other_g) is not None:
-                duplicate = True
-                break
-        if duplicate:
-            dropped += 1
-        else:
-            kept.append(hit)
-            kept_graphs.append(g)
-    return kept, dropped
+    found.sort(key=lambda pair: (pair[1].n, pair[0].graph6, pair[0].k))
+    kept: list[tuple[Hit, Graph]] = []
+    for hit, g in found:
+        if not any(other.k == hit.k and are_isomorphic(g, h) is not None
+                   for other, h in kept):
+            kept.append((hit, g))
+    return [hit for hit, _ in kept], len(found) - len(kept)
 
 
-def scan_stream(lines, spec: PredicateSpec) -> SearchReport:
-    """Scan a graph6 stream; malformed lines are counted and skipped."""
+def _scan(graphs, spec: PredicateSpec) -> SearchReport:
+    """Filter, probe and deduplicate graphs; a None graph counts as skipped."""
     start = time.perf_counter()
     scanned = 0
     skipped = 0
-    hits: list[Hit] = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            g = decode_graph6(line)
-        except ValueError:
+    found: list[tuple[Hit, Graph]] = []
+    for g in graphs:
+        if g is None:
             skipped += 1
             continue
         scanned += 1
         if _passes_filters(g, spec):
-            hits.extend(_graph_hits(g, spec))
-    kept, dropped = _deduplicate(hits)
+            chi, colourings = _frozen_above_chi(g, spec.gap, spec.max_k)
+            for k, w in colourings:
+                found.append((Hit(encode_graph6(g), chi, k, w.to_colour_line()), g))
+    kept, dropped = _deduplicate(found)
     return SearchReport(scanned, tuple(kept), dropped, skipped, time.perf_counter() - start)
+
+
+def _decoded(line: str) -> Graph | None:
+    try:
+        return decode_graph6(line)
+    except ValueError:
+        return None
+
+
+def scan_stream(lines, spec: PredicateSpec) -> SearchReport:
+    """Scan a graph6 stream; malformed lines are counted and skipped."""
+    stripped = (line.strip() for line in lines)
+    return _scan((_decoded(line) for line in stripped if line), spec)
 
 
 def _all_graphs(n: int):
@@ -238,16 +233,7 @@ def exhaustive_small(n_max: int, spec: PredicateSpec) -> SearchReport:
     """Scan every labelled graph on 1..n_max vertices (n_max capped at 7)."""
     if not 1 <= n_max <= EXHAUSTIVE_MAX:
         raise ValueError(f"n_max must be between 1 and {EXHAUSTIVE_MAX}")
-    start = time.perf_counter()
-    scanned = 0
-    hits: list[Hit] = []
-    for n in range(1, n_max + 1):
-        for g in _all_graphs(n):
-            scanned += 1
-            if _passes_filters(g, spec):
-                hits.extend(_graph_hits(g, spec))
-    kept, dropped = _deduplicate(hits)
-    return SearchReport(scanned, tuple(kept), dropped, 0, time.perf_counter() - start)
+    return _scan((g for n in range(1, n_max + 1) for g in _all_graphs(n)), spec)
 
 
 def frozen_gap_finder(g: Graph, max_k: int) -> list[tuple[int, BlockPartition]]:

@@ -438,13 +438,24 @@ def test_reconfig_negative_k_exits_two(runner, c6_path):
     assert result.stderr.startswith("error: ")
 
 
-def test_search_dedup_above_isomorphism_limit_exits_two(runner):
-    # two same-k hits of order 22: deduplication needs are_isomorphic beyond its limit
+def test_search_dedups_hits_above_order_twenty(runner):
+    # two same-k hits of order 22: deduplication keeps one of them
     line = encode_graph6(complement(me_complement(5).graph)) + "\n"
     result = runner.invoke(main, ["search", "--stream", "-", "--max-k", "11"],
                            input=line * 2)
-    assert result.exit_code == 2
-    assert result.stderr == "error: order exceeds isomorphism limit 20\n"
+    assert result.exit_code == 0
+    report = json.loads(result.stdout)
+    assert [(h["chi"], h["k"]) for h in report["hits"]] == [(9, 11)]
+    assert report["dedup_count"] == 1
+
+
+@pytest.mark.parametrize("extra", [["--stream", "missing.g6"], ["--checkpoint", "ck.txt"]])
+def test_search_exhaustive_rejects_stream_and_checkpoint(runner, tmp_path, extra):
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(main, ["search", "--exhaustive", "3", *extra])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert not Path("ck.txt").exists()
 
 
 # -- golden surface -------------------------------------------------------------

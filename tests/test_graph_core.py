@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frozencol.families import me_complement
 from frozencol.graph import (
     PATTERNS,
     Graph,
@@ -249,10 +250,8 @@ def test_non_isomorphic_same_degree_sequence():
     assert are_isomorphic(cycle_graph(4), graph_from_edges(4, [(0, 1), (2, 3)])) is None
 
 
-def _reference_are_isomorphic(g, h, limit=20):
+def _reference_are_isomorphic(g, h):
     """are_isomorphic testing each candidate edge by edge against placed vertices."""
-    if g.n > limit or h.n > limit:
-        raise ValueError(f"order exceeds isomorphism limit {limit}")
     if g.n != h.n or g.edge_count != h.edge_count:
         return None
     n = g.n
@@ -323,10 +322,18 @@ def test_isomorphism_mapping_matches_reference(g, rng, flips):
         assert are_isomorphic(g, target) == _reference_are_isomorphic(g, target)
 
 
-def test_isomorphism_limit():
-    with pytest.raises(ValueError):
-        are_isomorphic(empty_graph(21), empty_graph(21))
-    assert are_isomorphic(empty_graph(25), empty_graph(25), limit=25) is not None
+def test_isomorphism_has_no_order_limit():
+    big = complement(me_complement(5).graph)
+    perm = list(range(big.n))
+    random.Random(5).shuffle(perm)
+    for g, h in ((empty_graph(25), empty_graph(25)), (big, relabel(big, perm))):
+        mapping = are_isomorphic(g, h)
+        assert mapping is not None and sorted(mapping) == list(range(g.n))
+        for u, v in itertools.combinations(range(g.n), 2):
+            assert g.has_edge(u, v) == h.has_edge(mapping[u], mapping[v])
+    c11_edges = [(i, (i + 1) % 11) for i in range(11)]
+    two_c11 = graph_from_edges(22, c11_edges + [(u + 11, v + 11) for u, v in c11_edges])
+    assert are_isomorphic(cycle_graph(22), two_c11) is None
 
 
 @given(graphs(max_n=8), st.randoms(use_true_random=False))

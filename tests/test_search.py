@@ -127,6 +127,24 @@ def test_stream_dedup_merges_isomorphic_copies():
     assert report.dedup_count == 1
 
 
+def test_stream_decodes_each_line_once():
+    me2 = complement(me_complement(2).graph)
+    c6 = cycle_graph(6)
+    lines = [encode_graph6(me2), "", encode_graph6(c6), "  ",
+             encode_graph6(relabel(c6, [3, 0, 4, 1, 5, 2])), "@@@not-a-graph\x01"]
+    decoded = []
+
+    def counted(line):
+        decoded.append(line)
+        return decode_graph6(line)
+
+    with patch.object(search, "decode_graph6", counted):
+        report = scan_stream(lines, PredicateSpec(gap=1))
+    assert [(h.chi, h.k) for h in report.hits] == [(2, 3), (4, 5)]
+    assert report.dedup_count == 1
+    assert decoded == [line.strip() for line in lines if line.strip()]
+
+
 def test_stream_results_do_not_depend_on_line_order():
     me2 = complement(me_complement(2).graph)
     km2 = complement(km_complement(2).graph)
@@ -202,6 +220,17 @@ def test_exhaustive_unfiltered_six_vertices_finds_c6():
     assert len(matches) == 1
     for hit in report.hits:
         reverify_hit(hit)
+
+
+@pytest.mark.parametrize("spec", [
+    PredicateSpec(gap=1),
+    PredicateSpec(gap=1, max_k=4),
+    PredicateSpec(gap=1, two_k2_free="complement"),
+])
+def test_exhaustive_matches_stream_of_same_graphs(spec):
+    lines = [encode_graph6(graph_from_mask(n, mask))
+             for n in range(1, 5) for mask in range(1 << (n * (n - 1) // 2))]
+    assert exhaustive_small(4, spec).to_json() == scan_stream(lines, spec).to_json()
 
 
 # --- frozen_gap_finder ---
