@@ -62,6 +62,12 @@ class UsageFailure(Exception):
     """Operationally wrong request: bad file, bad format, exceeded cap."""
 
 
+def _positive_cap(cap: int, source: str) -> int:
+    if cap <= 0:
+        raise UsageFailure(f"{source} must be positive, got {cap}")
+    return cap
+
+
 def default_cap() -> int:
     raw = os.environ.get(ENV_CAP)
     if raw is None:
@@ -70,9 +76,7 @@ def default_cap() -> int:
         cap = int(raw)
     except ValueError:
         raise UsageFailure(f"{ENV_CAP} must be an integer, got {raw!r}")
-    if cap <= 0:
-        raise UsageFailure(f"{ENV_CAP} must be positive, got {cap}")
-    return cap
+    return _positive_cap(cap, ENV_CAP)
 
 
 def _read_text(path: str) -> str:
@@ -319,7 +323,7 @@ def reconfig(graph: str, k: int, dot: str | None, cap: int | None, verify: bool,
              fmt: str, out: str | None) -> None:
     """Component structure of the recolouring graph on k colours."""
     g = read_graph(graph, fmt)
-    cap = cap if cap is not None else default_cap()
+    cap = _positive_cap(cap, "--cap") if cap is not None else default_cap()
     report = reconfiguration_components(g, k, colouring_cap=cap)
     if dot:
         _write_text(dot, reconfiguration_dot(g, k, cap=cap))
@@ -418,9 +422,14 @@ def recolour(graph: str, ell: int, start: str | None, target: str | None,
     """Stepwise recolouring between two colourings, replay-verified."""
     if sample is None and (start is None or target is None):
         raise click.UsageError("provide --start and --target, or --sample N")
+    if sample is not None:
+        if start is not None or target is not None:
+            raise UsageFailure("--sample cannot be combined with --start or --target")
+        if sample <= 0:
+            raise UsageFailure(f"--sample must be positive, got {sample}")
     g = read_graph(graph, fmt)
     pairs: list[tuple[BlockPartition, BlockPartition]] = []
-    if sample:
+    if sample is not None:
         rng = random.Random(seed)
         for _ in range(sample):
             pairs.append((_random_proper(g, ell, rng), _random_proper(g, ell, rng)))
@@ -476,10 +485,10 @@ def search(stream: str | None, exhaustive: int | None, gap: int, max_k: int | No
         lines = _read_text(stream).splitlines()
         done = 0
         if checkpoint and Path(checkpoint).exists():
-            try:
-                done = int(Path(checkpoint).read_text().strip() or 0)
-            except ValueError:
+            mark = _read_text(checkpoint).strip() or "0"
+            if not mark.isdecimal():  # a line count: no sign, no other text
                 raise UsageFailure(f"corrupt checkpoint file {checkpoint}")
+            done = int(mark)
         report = scan_stream(lines[done:], spec)
         if checkpoint:
             _write_text(checkpoint, f"{max(done, len(lines))}\n")

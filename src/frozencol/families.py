@@ -409,20 +409,6 @@ def chain_complement(t: int) -> FamilyInstance:
     )
 
 
-def cycle_frozen_3(n: int) -> BlockPartition | None:
-    """The repeating 3-colouring of the n-cycle, when it exists.
-
-    A colouring of a cycle is frozen exactly when both neighbours of every
-    vertex show both other colours, which forces the period-3 pattern, so a
-    frozen 3-colouring exists iff n is divisible by 3.
-    """
-    if n < 3:
-        raise ValueError(f"cycle needs at least 3 vertices, got {n}")
-    if n % 3:
-        return None
-    return BlockPartition.from_colours([i % 3 for i in range(n)], 3)
-
-
 BUILDERS = {
     "ME": me_complement,
     "ME_STAR": me_star_complement,

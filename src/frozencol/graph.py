@@ -88,10 +88,6 @@ class Graph:
 
     # -- basic queries ------------------------------------------------------
 
-    def neighbours(self, v: int) -> int:
-        """Neighbour bitmask of v."""
-        return self.rows[v]
-
     def neighbour_list(self, v: int) -> list[int]:
         return list(bits(self.rows[v]))
 

@@ -15,8 +15,8 @@ from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
 
-from .graph import Graph, bits, require
-from .partitions import BlockPartition, is_frozen_colouring, is_proper_colouring
+from .graph import Graph, require
+from .partitions import BlockPartition, is_frozen_colouring
 from .solvers import chromatic_number
 
 DEFAULT_COLOURING_CAP = 2 * 10**7
@@ -51,12 +51,11 @@ class _Packing:
         # the place value in a code of the colour at bit p of a move mask
         self.place = [p % width * self.weight[p // width] for p in range(n * width)]
 
-    def walk(self, cap: int = DEFAULT_COLOURING_CAP, pin=None):
+    def walk(self, cap: int = DEFAULT_COLOURING_CAP):
         """Yield (code, cols, moves, lower) per proper colouring, in lex order.
 
         cols is one list, overwritten between yields; lower keeps the moves
-        to a smaller colour, which lead to states yielded earlier. A colour
-        vector pin restricts the walk to that colouring.
+        to a smaller colour, which lead to states yielded earlier.
         """
         n, width, full, ones = self.n, self.width, (1 << self.k) - 1, self.ones
         if n == 0:
@@ -64,19 +63,18 @@ class _Packing:
             return
         nbr_bits, weight = self.nbr_bits, self.weight
         everything, guards = full * ones, ones << self.k
-        allowed = [full] * n if pin is None else [1 << c for c in pin]
         last = n - 1
-        shift_last, bits_last, allowed_last = width * last, nbr_bits[last], allowed[last]
+        shift_last, bits_last = width * last, nbr_bits[last]
         cols = [0] * n
         # S, C and the code of the colours fixed above each depth
         seen, onehot, prefix = [0] * n, [0] * n, [0] * n
-        avail = allowed[:1] + [0] * last
+        avail = [full] + [0] * last
         count = 0
         v = 0
         while v >= 0:
             if v == last:
                 s0, c0, x0 = seen[v], onehot[v], prefix[v]
-                a = ~(s0 >> shift_last) & allowed_last
+                a = ~(s0 >> shift_last) & full
                 while a:
                     b = a & -a
                     a ^= b
@@ -105,7 +103,7 @@ class _Packing:
             onehot[v + 1] = onehot[v] | b << width * v
             prefix[v + 1] = prefix[v] + c * weight[v]
             v += 1
-            avail[v] = ~(s >> width * v) & allowed[v]
+            avail[v] = ~(s >> width * v) & full
 
     def targets(self, code: int, cols, mask: int) -> list[int]:
         """Codes of the states the moves in mask lead to, in bit order."""
@@ -126,14 +124,6 @@ def proper_colour_vectors(g: Graph, k: int, cap: int = DEFAULT_COLOURING_CAP):
         yield tuple(cols)
 
 
-def colouring_degree(g: Graph, p: BlockPartition) -> int:
-    """Number of neighbours of this colouring in R_k(g), k = p.k."""
-    if not is_proper_colouring(g, p):
-        raise ValueError("not a proper colouring")
-    _, _, moves, _ = next(_Packing(g, p.k).walk(pin=p.to_colours()))
-    return moves.bit_count()
-
-
 @dataclass(frozen=True)
 class ReconfigReport:
     """Shape of R_k(g): state count, components, isolated states."""
@@ -143,7 +133,6 @@ class ReconfigReport:
     component_count: int
     component_sizes: tuple
     frozen_colourings: tuple
-    truncated: bool = False
 
     def to_json(self) -> dict:
         return {
@@ -152,61 +141,49 @@ class ReconfigReport:
             "component_count": self.component_count,
             "component_sizes": list(self.component_sizes),
             "frozen_colourings": [p.to_json() for p in self.frozen_colourings],
-            "truncated": self.truncated,
         }
 
 
 def reconfiguration_components(
-    g: Graph,
-    k: int,
-    colouring_cap: int = DEFAULT_COLOURING_CAP,
-    union_cap: int = DEFAULT_UNION_CAP,
-    truncate: bool = False,
+    g: Graph, k: int, colouring_cap: int = DEFAULT_COLOURING_CAP
 ) -> ReconfigReport:
     """Component structure of R_k(g) by union-find in one lex-ordered pass.
 
-    Each R_k edge is unioned once, from its later end, so union_cap bounds
-    the number of edges. Raises CapExceeded when a budget is crossed unless
-    truncate is set; the partial report then has the truncated flag up and
-    describes R_k restricted to the states before the one that crossed it.
+    Each R_k edge is unioned once, from its later end, so DEFAULT_UNION_CAP
+    bounds the number of edges. Raises CapExceeded when a budget is crossed.
     """
     space = _Packing(g, k)
+    union_cap = DEFAULT_UNION_CAP
     index: dict[int, int] = {}
     parent = array("i")  # parent[i] <= i, so each root is its tree's minimum
     unions = 0
-    truncated = False
     frozen_vecs = []
-    try:
-        for code, cols, moves, lower in space.walk(colouring_cap):
-            unions += lower.bit_count()
-            if unions > union_cap:
-                raise CapExceeded(f"more than {union_cap} union operations")
-            index[code] = i = len(parent)
-            parent.append(i)
-            root = i
-            for t in space.targets(code, cols, lower):
-                j = index[t]
-                while True:  # find with path halving
-                    up = parent[j]
-                    if up == j:
-                        break
-                    top = parent[up]
-                    if top == up:
-                        j = up
-                        break
-                    parent[j] = top
-                    j = top
-                if j < root:
-                    parent[root] = j
-                    root = j
-                elif j > root:
-                    parent[j] = root
-            if not moves and len(set(cols)) == k:
-                frozen_vecs.append(tuple(cols))
-    except CapExceeded:
-        if not truncate:
-            raise
-        truncated = True
+    for code, cols, moves, lower in space.walk(colouring_cap):
+        unions += lower.bit_count()
+        if unions > union_cap:
+            raise CapExceeded(f"more than {union_cap} union operations")
+        index[code] = i = len(parent)
+        parent.append(i)
+        root = i
+        for t in space.targets(code, cols, lower):
+            j = index[t]
+            while True:  # find with path halving
+                up = parent[j]
+                if up == j:
+                    break
+                top = parent[up]
+                if top == up:
+                    j = up
+                    break
+                parent[j] = top
+                j = top
+            if j < root:
+                parent[root] = j
+                root = j
+            elif j > root:
+                parent[j] = root
+        if not moves and len(set(cols)) == k:
+            frozen_vecs.append(tuple(cols))
 
     for i in range(len(parent)):  # parents point down: one pass finds every root
         parent[i] = parent[parent[i]]
@@ -221,34 +198,24 @@ def reconfiguration_components(
         component_count=len(sizes),
         component_sizes=component_sizes,
         frozen_colourings=frozen,
-        truncated=truncated,
     )
 
 
-def is_k_mixing(
-    g: Graph,
-    k: int,
-    colouring_cap: int = DEFAULT_COLOURING_CAP,
-    union_cap: int = DEFAULT_UNION_CAP,
-) -> bool:
+def is_k_mixing(g: Graph, k: int, colouring_cap: int = DEFAULT_COLOURING_CAP) -> bool:
     """True iff R_k(g) is connected; vacuously true when it is empty."""
-    report = reconfiguration_components(g, k, colouring_cap, union_cap)
+    report = reconfiguration_components(g, k, colouring_cap)
     if report.colouring_count == 0:
         warnings.warn(f"no proper {k}-colourings; mixing holds vacuously")
         return True
     return report.component_count == 1
 
 
-def recolouring_diameter(
-    g: Graph,
-    k: int,
-    colouring_cap: int = DEFAULT_COLOURING_CAP,
-    bfs_cap: int = DEFAULT_BFS_CAP,
-):
+def recolouring_diameter(g: Graph, k: int, colouring_cap: int = DEFAULT_COLOURING_CAP):
     """Exact diameter of R_k(g) by repeated BFS.
 
     Returns one integer when R_k is connected, otherwise a tuple of
-    per-component diameters ordered by decreasing component size.
+    per-component diameters ordered by decreasing component size. A
+    component above DEFAULT_BFS_CAP states raises CapExceeded.
     """
     space = _Packing(g, k)
     index: dict[int, int] = {}
@@ -272,8 +239,9 @@ def recolouring_diameter(
 
     diameters = []
     for group in sorted(members, key=lambda grp: (-len(grp), grp[0])):
-        if len(group) > bfs_cap:
-            raise CapExceeded(f"component of {len(group)} states exceeds bfs cap {bfs_cap}")
+        if len(group) > DEFAULT_BFS_CAP:
+            raise CapExceeded(
+                f"component of {len(group)} states exceeds bfs cap {DEFAULT_BFS_CAP}")
         diameters.append(max(max(_distances(adj, s).values()) for s in group))
     return diameters[0] if len(diameters) == 1 else tuple(diameters)
 
@@ -462,10 +430,7 @@ def find_frozen(g: Graph, k: int) -> BlockPartition | None:
 
 
 def recolourable_up_to(
-    g: Graph,
-    k_max: int,
-    colouring_cap: int = DEFAULT_COLOURING_CAP,
-    union_cap: int = DEFAULT_UNION_CAP,
+    g: Graph, k_max: int, colouring_cap: int = DEFAULT_COLOURING_CAP
 ) -> list[tuple[int, bool | None]]:
     """Mixing verdicts for k from chi(g)+1 up to k_max.
 
@@ -477,7 +442,7 @@ def recolourable_up_to(
     out: list[tuple[int, bool | None]] = []
     for k in range(chi + 1, k_max + 1):
         try:
-            out.append((k, is_k_mixing(g, k, colouring_cap, union_cap)))
+            out.append((k, is_k_mixing(g, k, colouring_cap)))
         except CapExceeded:
             out.append((k, None))
     return out

@@ -21,9 +21,9 @@ from .partitions import (
 DEFAULT_LIMIT = 40
 
 
-def _check_limit(g: Graph, limit: int) -> None:
-    if g.n > limit:
-        raise ValueError(f"graph order {g.n} exceeds exactness bound {limit}")
+def _check_limit(g: Graph) -> None:
+    if g.n > DEFAULT_LIMIT:
+        raise ValueError(f"graph order {g.n} exceeds exactness bound {DEFAULT_LIMIT}")
 
 
 # -- independent sets ---------------------------------------------------------
@@ -65,18 +65,18 @@ def _max_independent_mask(rows: tuple[int, ...], n: int) -> int:
     return best[0]
 
 
-def independence_number(g: Graph, limit: int = DEFAULT_LIMIT) -> tuple[int, set[int]]:
+def independence_number(g: Graph) -> tuple[int, set[int]]:
     """Exact independence number with a verified witness set."""
-    _check_limit(g, limit)
+    _check_limit(g)
     mask = _max_independent_mask(g.rows, g.n)
     witness = set(bits(mask))
     require(not any(g.rows[v] & mask for v in witness), "witness is not independent")
     return len(witness), witness
 
 
-def clique_number(g: Graph, limit: int = DEFAULT_LIMIT) -> tuple[int, set[int]]:
+def clique_number(g: Graph) -> tuple[int, set[int]]:
     """Exact clique number: independence number of the complement."""
-    size, witness = independence_number(complement(g), limit)
+    size, witness = independence_number(complement(g))
     require(all(g.has_edge(u, v) for u in witness for v in witness if u < v),
             "witness is not a clique")
     return size, witness
@@ -170,17 +170,17 @@ def _try_colouring(g: Graph, k: int, seed: list[int]) -> list[int] | None:
     return None
 
 
-def chromatic_number(g: Graph, limit: int = DEFAULT_LIMIT) -> tuple[int, BlockPartition]:
+def chromatic_number(g: Graph) -> tuple[int, BlockPartition]:
     """Exact chromatic number with a proper witness colouring."""
-    _check_limit(g, limit)
+    _check_limit(g)
     if g.n == 0:
         return 0, BlockPartition([])
-    clique_size, clique = clique_number(g, limit)
+    clique_size, clique = clique_number(g)
     greedy = _dsatur_greedy(g)
     upper = max(greedy) + 1
     lower = clique_size
     if lower < upper:  # omega = upper leaves no k to try; alpha is not needed
-        alpha, _ = independence_number(g, limit)
+        alpha, _ = independence_number(g)
         lower = max(lower, -(-g.n // alpha))
     seed = sorted(clique)
     best = greedy
@@ -195,9 +195,9 @@ def chromatic_number(g: Graph, limit: int = DEFAULT_LIMIT) -> tuple[int, BlockPa
     return chi, witness
 
 
-def clique_cover_number(g: Graph, limit: int = DEFAULT_LIMIT) -> tuple[int, BlockPartition]:
+def clique_cover_number(g: Graph) -> tuple[int, BlockPartition]:
     """Exact clique cover number: chromatic number of the complement."""
-    theta, witness = chromatic_number(complement(g), limit)
+    theta, witness = chromatic_number(complement(g))
     require(is_clique_partition(g, witness), "witness is not a clique partition")
     return theta, witness
 
@@ -233,13 +233,13 @@ class InvariantReport:
         }
 
 
-def analyze(g: Graph, limit: int = DEFAULT_LIMIT) -> InvariantReport:
+def analyze(g: Graph) -> InvariantReport:
     """All four invariants plus freeness flags, cross-checked before return."""
-    _check_limit(g, limit)
-    chi, colouring = chromatic_number(g, limit)
-    theta, cover = clique_cover_number(g, limit)
-    alpha, ind_set = independence_number(g, limit)
-    omega, clique = clique_number(g, limit)
+    _check_limit(g)
+    chi, colouring = chromatic_number(g)
+    theta, cover = clique_cover_number(g)
+    alpha, ind_set = independence_number(g)
+    omega, clique = clique_number(g)
     require(omega <= chi and alpha <= theta, "omega above chi or alpha above theta")
     require(g.n == 0 or alpha * chi >= g.n and omega * theta >= g.n,
             "alpha*chi or omega*theta below the order")

@@ -5,21 +5,17 @@ frozen (k+1)-clique-partition into a (k+1)- plus a frozen (k+2)-partition.
 The frozen blocks move in one of two ways: if x and y lie in different frozen
 blocks, {u,v} simply becomes a new block (case 1); if {x,y} itself is a
 frozen block, it is replaced by {x,u} and {v,y} (case 2). The colouring-side
-operation on a non-edge is the exact complement of the same construction.
+operation, expanding a non-edge xy of G, is this construction read in the
+complement: complement G, subdivide xy with the same certificates, complement
+the result. The blocks then read as colour classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .graph import Graph, complement, find_induced, is_diamond_middle_edge, require
-from .partitions import (
-    BlockPartition,
-    is_clique_partition,
-    is_frozen_clique_partition,
-    is_frozen_colouring,
-    is_proper_colouring,
-)
+from .graph import Graph, find_induced, is_diamond_middle_edge, require
+from .partitions import BlockPartition, is_clique_partition, is_frozen_clique_partition
 from .solvers import clique_cover_number
 
 
@@ -50,19 +46,15 @@ def subdivide_edge(h: Graph, x: int, y: int) -> Graph:
     return Graph(n + 2, rows, labels + (f"u@{n}", f"v@{n}"))
 
 
-def _detect_case(f: BlockPartition, x: int, y: int, force: int | None) -> int:
+def _detect_case(f: BlockPartition, x: int, y: int) -> int:
     fx, fy = f.block_of(x), f.block_of(y)
     if fx == fy:
         if f.blocks[fx] != frozenset((x, y)):
             raise ValueError(
                 f"x and y share frozen block {sorted(f.blocks[fx])}; neither case applies"
             )
-        case = 2
-    else:
-        case = 1
-    if force is not None and force != case:
-        raise ValueError(f"case {force} requested but input admits only case {case}")
-    return case
+        return 2
+    return 1
 
 
 def subdivide_with_certificates(
@@ -72,7 +64,6 @@ def subdivide_with_certificates(
     x: int,
     y: int,
     strict_c4: bool = True,
-    case: int | None = None,
 ) -> TransformResult:
     """Subdivide xy and transport both certificates, re-verified on output.
 
@@ -89,7 +80,7 @@ def subdivide_with_certificates(
         raise ValueError("x and y share a block of q")
     if not is_frozen_clique_partition(h, f):
         raise ValueError("f is not a frozen clique partition")
-    case_used = _detect_case(f, x, y, case)
+    case_used = _detect_case(f, x, y)
     if strict_c4 and case_used == 1 and is_diamond_middle_edge(h, x, y):
         raise ValueError(f"({x}, {y}) is the middle edge of a diamond")
 
@@ -123,38 +114,3 @@ def theta_increment_check(result: TransformResult, h: Graph, k: int) -> bool:
 def with_theta_check(result: TransformResult, h: Graph, k: int) -> TransformResult:
     """Copy of result with the theta_incremented flag filled in."""
     return replace(result, theta_incremented=theta_increment_check(result, h, k))
-
-
-def expand_nonedge(
-    g: Graph,
-    x: int,
-    y: int,
-    beta: BlockPartition,
-    gamma: BlockPartition,
-    strict_2k2: bool = True,
-    case: int | None = None,
-) -> TransformResult:
-    """Colouring-side twin of the subdivision: expand a non-edge xy.
-
-    Adds u, v with edges vx, xy, yu and joins u, v to everything else. This
-    is the complement of subdividing xy in the complement graph, so the
-    certificates transport identically; beta gains the class {u,v} and gamma
-    moves by the same two cases. c4_preserved here reports 2K2-freeness
-    preservation of the colouring side (the same bit, read in complement).
-    """
-    if not (0 <= x < g.n and 0 <= y < g.n) or g.has_edge(x, y) or x == y:
-        raise ValueError(f"({x}, {y}) is not a non-edge")
-    if not is_proper_colouring(g, beta):
-        raise ValueError("beta is not a proper colouring")
-    if beta.block_of(x) == beta.block_of(y):
-        raise ValueError("x and y share a colour class of beta")
-    if not is_frozen_colouring(g, gamma):
-        raise ValueError("gamma is not a frozen colouring")
-    co = complement(g)
-    result = subdivide_with_certificates(
-        co, beta, gamma, x, y, strict_c4=strict_2k2, case=case
-    )
-    out = complement(result.graph_out)
-    require(is_proper_colouring(out, result.q_out), "transported beta is not proper")
-    require(is_frozen_colouring(out, result.f_out), "transported gamma is not frozen")
-    return replace(result, graph_out=out)

@@ -172,7 +172,6 @@ def test_reconfig_counts_and_frozen_states(runner, c6_path):
     assert data["colouring_count"] == 66
     assert len(data["frozen_colourings"]) == 6
     assert data["component_count"] == 7
-    assert not data["truncated"]
 
 
 def test_reconfig_json_is_byte_identical_to_golden(runner, c6_path):
@@ -213,6 +212,13 @@ def test_reconfig_bad_cap_env_var(runner, c6_path):
     result = runner.invoke(main, ["reconfig", c6_path, "--k", "3"],
                            env={"FROZENCOL_CAP": "many"})
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("cap", ["0", "-4"])
+def test_reconfig_cap_flag_must_be_positive(runner, c6_path, cap):
+    result = runner.invoke(main, ["reconfig", c6_path, "--k", "3", "--cap", cap])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: --cap must be positive, got {cap}\n"
 
 
 # -- subdivide ------------------------------------------------------------------
@@ -309,6 +315,21 @@ def test_recolour_requires_endpoints_or_sample(runner, c5_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--sample", "0"], "--sample must be positive, got 0"),
+    (["--sample", "-1"], "--sample must be positive, got -1"),
+    (["--sample", "1", "--start", "0 1 0 1 2"],
+     "--sample cannot be combined with --start or --target"),
+    (["--sample", "1", "--start", "0 1 0 1 2", "--target", "1 0 1 0 2"],
+     "--sample cannot be combined with --start or --target"),
+], ids=["zero", "negative", "start", "start-and-target"])
+def test_recolour_bad_sample_is_usage_error(runner, c5_path, extra, message):
+    result = runner.invoke(main, ["recolour", c5_path, "--ell", "4", *extra])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
 def test_recolour_improper_endpoint_is_usage_error(runner, c5_path):
     result = runner.invoke(main, ["recolour", c5_path, "--ell", "4",
                                   "--start", "0 0 0 0 0",
@@ -357,6 +378,19 @@ def test_search_checkpoint_resumes(runner, tmp_path):
                                   "--checkpoint", str(mark)])
     assert second.exit_code == 0
     assert json.loads(second.output)["graphs_scanned"] == 0
+
+
+def test_search_negative_checkpoint_is_corrupt(runner, tmp_path):
+    stream = tmp_path / "stream.g6"
+    stream.write_text(encode_graph6(cycle_graph(6)) + "\n"
+                      + encode_graph6(cycle_graph(5)) + "\n")
+    mark = tmp_path / "mark.txt"
+    mark.write_text("-2\n")
+    result = runner.invoke(main, ["search", "--stream", str(stream),
+                                  "--checkpoint", str(mark)])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: corrupt checkpoint file {mark}\n"
+    assert mark.read_text() == "-2\n"
 
 
 def test_search_filter_side(runner):

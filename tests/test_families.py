@@ -5,7 +5,6 @@ import pytest
 from frozencol.families import (
     b_t,
     chain_complement,
-    cycle_frozen_3,
     h_t_complement,
     ke_complement,
     ke_custom,
@@ -22,7 +21,6 @@ from frozencol.graph import (
 from frozencol.partitions import (
     is_clique_partition,
     is_frozen_clique_partition,
-    is_frozen_colouring,
 )
 from frozencol.solvers import analyze, independence_number
 
@@ -114,7 +112,6 @@ def test_parameter_validation():
         lambda: b_t(1),
         lambda: h_t_complement(2),
         lambda: chain_complement(3),
-        lambda: cycle_frozen_3(2),
     ):
         with pytest.raises(ValueError):
             bad_call()
@@ -245,15 +242,6 @@ def test_ke_custom():
         ke_custom(3, [(1, 3), (2, 4)])  # incomplete cover
     with pytest.raises(ValueError):
         ke_custom(3, [(1, 3), (2, 4), (5, 9)])  # out of range
-
-
-def test_cycle_frozen_3():
-    assert cycle_frozen_3(5) is None
-    assert cycle_frozen_3(7) is None
-    for n in (3, 6, 9, 12):
-        p = cycle_frozen_3(n)
-        assert p is not None and p.k == 3
-        assert is_frozen_colouring(cycle_graph(n), p)
 
 
 def test_labels_follow_the_layout():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frozencol import reconfig
 from frozencol.families import b_t, ke_complement, me_complement
 from frozencol.graph import (
     complement,
@@ -22,7 +23,7 @@ from frozencol.graph import (
 from frozencol.partitions import BlockPartition, is_frozen_colouring, is_proper_colouring
 from frozencol.reconfig import (
     CapExceeded,
-    colouring_degree,
+    _Packing,
     find_frozen,
     frozen_k_bound,
     is_k_mixing,
@@ -140,30 +141,19 @@ def test_vacuous_mixing_warns():
 
 
 def test_truncation_flag_and_cap():
+    # R_3(C_4) has 18 states: a cap below that raises, never a partial report
     with pytest.raises(CapExceeded):
-        reconfiguration_components(cycle_graph(4), 3, colouring_cap=5)
-    rep = reconfiguration_components(cycle_graph(4), 3, colouring_cap=5, truncate=True)
-    assert rep.truncated and rep.colouring_count == 5
+        reconfiguration_components(cycle_graph(4), 3, colouring_cap=17)
+    assert reconfiguration_components(cycle_graph(4), 3, colouring_cap=18).colouring_count == 18
 
 
-def test_union_cap_counts_each_edge_once():
+def test_union_cap_counts_each_edge_once(monkeypatch):
     # R_3(C_4) has 18 states and 24 edges
-    assert reconfiguration_components(cycle_graph(4), 3, union_cap=24).component_count == 1
-    with pytest.raises(CapExceeded, match="union"):
-        reconfiguration_components(cycle_graph(4), 3, union_cap=23)
-
-
-def test_union_cap_truncation_is_a_consistent_prefix():
-    g = cycle_graph(4)
-    rep = reconfiguration_components(g, 3, union_cap=10, truncate=True)
-    assert rep.truncated
-    m = rep.colouring_count
-    vecs = brute_vectors(g, 3)
-    assert 0 < m < len(vecs)
-    assert sum(rep.component_sizes) == m
-    assert list(rep.component_sizes) == oracle_components(g, 3, vecs[:m])
-    # the first m states span at most 10 edges; one more state crosses the cap
-    assert edge_count(g, 3, vecs[:m]) <= 10 < edge_count(g, 3, vecs[: m + 1])
+    monkeypatch.setattr(reconfig, "DEFAULT_UNION_CAP", 24)
+    assert reconfiguration_components(cycle_graph(4), 3).component_count == 1
+    monkeypatch.setattr(reconfig, "DEFAULT_UNION_CAP", 23)
+    with pytest.raises(CapExceeded, match="more than 23 union"):
+        reconfiguration_components(cycle_graph(4), 3)
 
 
 def test_report_json_shape():
@@ -171,7 +161,8 @@ def test_report_json_shape():
     data = rep.to_json()
     assert data["k"] == 3 and data["component_count"] == 6
     assert len(data["frozen_colourings"]) == 6
-    assert data["truncated"] is False
+    assert sorted(data) == ["colouring_count", "component_count", "component_sizes",
+                            "frozen_colourings", "k"]
 
 
 def explicit_moves(g, k, vec):
@@ -208,11 +199,6 @@ def oracle_components(g, k, states):
     return sorted(sizes, reverse=True)
 
 
-def edge_count(g, k, states):
-    inside = set(states)
-    return sum(len(explicit_moves(g, k, s) & inside) for s in states) // 2
-
-
 @given(st.integers(0, 10**9), st.integers(1, 6), st.integers(1, 4))
 @settings(max_examples=60, deadline=None)
 def test_components_match_bfs_oracle(seed, n, k):
@@ -226,18 +212,16 @@ def test_components_match_bfs_oracle(seed, n, k):
     assert list(rep.component_sizes) == sizes
     frozen = [v for v in vecs if not explicit_moves(g, k, v) and len(set(v)) == k]
     assert [tuple(p.to_colours()) for p in rep.frozen_colourings] == frozen
-    for v in vecs[:: max(1, len(vecs) // 7)]:
-        p = BlockPartition.from_colours(v, k)
-        assert colouring_degree(g, p) == len(explicit_moves(g, k, v))
-    # truncation keeps exactly the first c states in lex order
-    c = rng.randint(1, len(vecs)) if vecs else 1
-    part = reconfiguration_components(g, k, colouring_cap=c, truncate=True)
-    assert part.truncated == (c < len(vecs))
-    assert part.colouring_count == min(c, len(vecs))
-    sizes = oracle_components(g, k, vecs[:c])
-    assert (part.component_count, list(part.component_sizes)) == (len(sizes), sizes)
-    assert [tuple(p.to_colours()) for p in part.frozen_colourings] == [
-        v for v in frozen if v in set(vecs[:c])]
+    # the packed move mask of every state counts its neighbours in R_k
+    walked = [(tuple(cols), moves.bit_count()) for _, cols, moves, _ in _Packing(g, k).walk()]
+    assert walked == [(v, len(explicit_moves(g, k, v))) for v in vecs]
+    # a colouring cap raises exactly when it is below the state count
+    c = rng.randint(1, len(vecs) + 1)
+    if c < len(vecs):
+        with pytest.raises(CapExceeded):
+            reconfiguration_components(g, k, colouring_cap=c)
+    else:
+        assert reconfiguration_components(g, k, colouring_cap=c).colouring_count == len(vecs)
 
 
 @given(st.integers(0, 10**9), st.integers(2, 4))
@@ -300,11 +284,12 @@ def test_diameters_match_goldens():
         assert d == (tuple(want) if isinstance(want, list) else want), name
 
 
-def test_disconnected_diameters_and_bfs_cap():
+def test_disconnected_diameters_and_bfs_cap(monkeypatch):
     d = recolouring_diameter(complete_graph(3), 3)
     assert d == (0,) * 6
-    with pytest.raises(CapExceeded):
-        recolouring_diameter(cycle_graph(5), 4, bfs_cap=10)
+    monkeypatch.setattr(reconfig, "DEFAULT_BFS_CAP", 10)
+    with pytest.raises(CapExceeded, match="exceeds bfs cap 10"):
+        recolouring_diameter(cycle_graph(5), 4)
     with pytest.raises(ValueError):
         recolouring_diameter(cycle_graph(5), 2)
 
@@ -500,24 +485,14 @@ def test_recolourable_probe():
     assert (5, False) in recolourable_up_to(me_original, 5)
 
 
-# -- degree helper and family certificates -------------------------------------------
-
-
-def test_colouring_degree():
-    g = cycle_graph(6)
-    frozen = BlockPartition([{0, 3}, {1, 4}, {2, 5}])
-    assert colouring_degree(g, frozen) == 0
-    thawed = BlockPartition.from_colours([0, 1, 0, 1, 0, 1], 3)
-    assert colouring_degree(g, thawed) > 0
-    with pytest.raises(ValueError):
-        colouring_degree(g, BlockPartition.from_colours([0, 0, 1, 1, 2, 2], 3))
+# -- family certificates -------------------------------------------------------------
 
 
 @pytest.mark.parametrize("inst", [me_complement(2), ke_complement(1), b_t(3)])
 def test_family_frozen_partitions_are_isolated(inst):
     original = complement(inst.graph)
     assert is_frozen_colouring(original, inst.frozen)
-    assert colouring_degree(original, inst.frozen) == 0
+    assert explicit_moves(original, inst.frozen.k, tuple(inst.frozen.to_colours())) == set()
 
 
 # -- DOT export ------------------------------------------------------------------

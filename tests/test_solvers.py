@@ -95,12 +95,14 @@ def test_clique_cover_known_values():
     assert clique_cover_number(cycle_graph(6))[0] == 3
 
 
-def test_size_limit():
-    with pytest.raises(ValueError):
+def test_size_limit(monkeypatch):
+    assert chromatic_number(empty_graph(40))[0] == 1
+    with pytest.raises(ValueError, match="order 41 exceeds exactness bound 40"):
         chromatic_number(empty_graph(41))
     with pytest.raises(ValueError):
         independence_number(empty_graph(50))
-    assert chromatic_number(empty_graph(41), limit=41)[0] == 1
+    monkeypatch.setattr(S, "DEFAULT_LIMIT", 41)
+    assert chromatic_number(empty_graph(41))[0] == 1
 
 
 # -- witnesses --------------------------------------------------------------------
@@ -286,9 +288,9 @@ def test_alpha_is_solved_only_when_the_clique_misses_the_greedy_bound():
     calls = []
     solve = S.independence_number
 
-    def counted(g, limit=S.DEFAULT_LIMIT):
+    def counted(g):
         calls.append(g)
-        return solve(g, limit)
+        return solve(g)
 
     with patch.object(S, "independence_number", counted):
         assert chromatic_number(complete_graph(4))[0] == 4

@@ -22,9 +22,8 @@ from frozencol.partitions import (
     is_frozen_colouring,
     is_proper_colouring,
 )
-from frozencol.solvers import chromatic_number, clique_cover_number
+from frozencol.solvers import chromatic_number
 from frozencol.transform import (
-    expand_nonedge,
     subdivide_edge,
     subdivide_with_certificates,
     theta_increment_check,
@@ -133,12 +132,6 @@ def test_diamond_middle_allowed_when_relaxed():
     assert is_frozen_clique_partition(res.graph_out, res.f_out)
 
 
-def test_forced_case_mismatch():
-    me = me_complement(2)
-    with pytest.raises(ValueError, match="admits only case 1"):
-        subdivide_with_certificates(me.graph, me.canonical, me.frozen, U1, U2, case=2)
-
-
 def test_invalid_certificates_rejected():
     me = me_complement(2)
     not_cliques = BlockPartition([{U0, U2}, {U1, U3}, set(range(4, 10))])
@@ -231,20 +224,21 @@ def test_c4_preservation_over_random_certified_inputs():
 
 
 # -- colouring side -----------------------------------------------------------------
+# me.graph is the complement of the 2K2-free ME_2; expanding a non-edge xy of
+# ME_2 is subdividing the edge xy of me.graph, read in the complement.
 
 
 def test_expand_nonedge_case_1():
     me = me_complement(2)
-    g = complement(me.graph)  # the 2K2-free original
-    res = expand_nonedge(g, U1, U2, me.canonical, me.frozen)
-    out = res.graph_out
+    res = subdivide_with_certificates(me.graph, me.canonical, me.frozen, U1, U2)
+    out = complement(res.graph_out)
     assert res.case_used == 1
     assert out.n == 12
     assert find_induced(out, "2K2") is None
+    assert res.c4_preserved  # C4-free in the complement: 2K2-free here
     assert is_proper_colouring(out, res.q_out) and res.q_out.k == 5
     assert is_frozen_colouring(out, res.f_out) and res.f_out.k == 6
     assert chromatic_number(out)[0] == 5
-    assert res.c4_preserved  # here: 2K2-freeness preserved
     # the added vertices: u misses x and v; v misses y and u
     u, v = 10, 11
     assert not out.has_edge(u, U1) and not out.has_edge(u, v)
@@ -254,26 +248,26 @@ def test_expand_nonedge_case_1():
 
 def test_expand_nonedge_case_2():
     me = me_complement(2)
-    g = complement(me.graph)
-    res = expand_nonedge(g, U1, V12, me.canonical, me.frozen)
+    res = subdivide_with_certificates(me.graph, me.canonical, me.frozen, U1, V12)
     assert res.case_used == 2
     assert res.f_out.k == 6
-    assert is_frozen_colouring(res.graph_out, res.f_out)
+    assert is_frozen_colouring(complement(res.graph_out), res.f_out)
 
 
 def test_expand_nonedge_rejects_an_edge():
     me = me_complement(2)
-    g = complement(me.graph)
-    assert g.has_edge(U0, U2)
-    with pytest.raises(ValueError, match="not a non-edge"):
-        expand_nonedge(g, U0, U2, me.canonical, me.frozen)
+    assert complement(me.graph).has_edge(U0, U2)
+    with pytest.raises(ValueError, match="not an edge"):
+        subdivide_with_certificates(me.graph, me.canonical, me.frozen, U0, U2)
 
 
 def test_expand_matches_complemented_subdivision():
+    # xy becomes an edge; u joins every old vertex but x, v every old vertex but y
     me = me_complement(2)
     g = complement(me.graph)
-    res = expand_nonedge(g, U1, U2, me.canonical, me.frozen)
-    dual = subdivide_with_certificates(me.graph, me.canonical, me.frozen, U1, U2)
-    assert res.graph_out == complement(dual.graph_out)
-    assert res.q_out == dual.q_out and res.f_out == dual.f_out
-    assert clique_cover_number(dual.graph_out)[0] == chromatic_number(res.graph_out)[0]
+    res = subdivide_with_certificates(me.graph, me.canonical, me.frozen, U1, U2)
+    u, v = g.n, g.n + 1
+    edges = g.edges() + [(U1, U2)]
+    edges += [(w, u) for w in range(g.n) if w != U1]
+    edges += [(w, v) for w in range(g.n) if w != U2]
+    assert complement(res.graph_out) == graph_from_edges(g.n + 2, edges)
