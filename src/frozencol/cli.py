@@ -2,8 +2,8 @@
 
 Exit codes separate mathematics from plumbing: 0 means every requested check
 passed, 1 means a certificate or bound failed verification (a CertificateError
-from the CLI's own checks or the library's), 2 means the request itself was
-unusable (unknown input, malformed file, a library ValueError, cap exceeded).
+from the library's re-checks, or a failed `check`), 2 means the request itself
+was unusable (unknown input, malformed file, a library ValueError, cap exceeded).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .partitions import (
     is_frozen_colouring,
     is_proper_colouring,
 )
-from .recolour import path_between, verify_moves
+from .recolour import path_between
 from .reconfig import (
     DEFAULT_COLOURING_CAP,
     CapExceeded,
@@ -134,10 +134,14 @@ def read_partition(path: str, k: int | None = None) -> BlockPartition:
     text = _read_text(path).strip()
     try:
         if text.startswith("{"):
-            return BlockPartition.from_json(json.loads(text))
-        return BlockPartition.from_colour_line(text, k)
+            part = BlockPartition.from_json(json.loads(text))
+        else:
+            part = BlockPartition.from_colour_line(text, k)
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageFailure(f"cannot parse partition {path}: {exc}")
+    if k is not None and part.k != k:
+        raise UsageFailure(f"--k {k} but partition {path} has k={part.k}")
+    return part
 
 
 def _emit(out: str | None, text: str) -> None:
@@ -175,9 +179,6 @@ def _exit_codes(command):
     return wrapper
 
 
-verify_option = click.option(
-    "--verify/--no-verify", default=True, show_default=True,
-    help="Re-check every emitted certificate.")
 format_option = click.option(
     "--format", "fmt", default="auto",
     type=click.Choice(["auto", "graph6", "dimacs", "json"]),
@@ -201,11 +202,10 @@ _FAMILY_ALIASES = {"ME*": "ME_STAR", "MESTAR": "ME_STAR", "ME_STAR": "ME_STAR"}
 @click.option("--name", required=True, help="Family name (ME, ME*, KM, KE, B, H, CHAIN).")
 @click.option("--q", "-q", "q", required=True, type=int,
               help="Family parameter (q or t).")
-@verify_option
 @format_option
 @out_option
 @_exit_codes
-def family(name: str, q: int, verify: bool, fmt: str, out: str | None) -> None:
+def family(name: str, q: int, fmt: str, out: str | None) -> None:
     """Build a family instance with its certificates."""
     key = name.upper().replace("-", "_")
     key = _FAMILY_ALIASES.get(key, key)
@@ -215,11 +215,6 @@ def family(name: str, q: int, verify: bool, fmt: str, out: str | None) -> None:
         )
     inst = BUILDERS[key](q)
     g = inst.graph
-    if verify:
-        require(is_clique_partition(g, inst.canonical),
-                "canonical partition failed verification")
-        require(is_frozen_clique_partition(g, inst.frozen),
-                "frozen partition failed verification")
     if fmt == "graph6":
         _emit(out, encode_graph6(g) + "\n")
     elif fmt == "dimacs":
@@ -279,11 +274,10 @@ def check(graph: str, partition: str, frozen: bool, clique_partition: bool,
 @click.option("--invariant", default="all",
               type=click.Choice(["all", "chi", "theta", "alpha", "omega"]),
               show_default=True)
-@verify_option
 @format_option
 @out_option
 @_exit_codes
-def solve(graph: str, invariant: str, verify: bool, fmt: str, out: str | None) -> None:
+def solve(graph: str, invariant: str, fmt: str, out: str | None) -> None:
     """Exact invariants with verified witnesses."""
     g = read_graph(graph, fmt)
     if invariant == "all":
@@ -296,10 +290,6 @@ def solve(graph: str, invariant: str, verify: bool, fmt: str, out: str | None) -
             "omega": clique_number,
         }[invariant]
         value, witness = solver(g)
-        if verify and invariant == "chi":
-            require(is_proper_colouring(g, witness), "colouring witness failed verification")
-        if verify and invariant == "theta":
-            require(is_clique_partition(g, witness), "cover witness failed verification")
         payload = {
             invariant: value,
             "witness": witness.to_json()
@@ -315,21 +305,17 @@ def solve(graph: str, invariant: str, verify: bool, fmt: str, out: str | None) -
 @click.option("--dot", default=None, help="Also write the move graph in DOT form.")
 @click.option("--cap", type=int, default=None,
               help=f"State cap (default ${ENV_CAP} or {DEFAULT_COLOURING_CAP}).")
-@verify_option
 @format_option
 @out_option
 @_exit_codes
-def reconfig(graph: str, k: int, dot: str | None, cap: int | None, verify: bool,
-             fmt: str, out: str | None) -> None:
+def reconfig(graph: str, k: int, dot: str | None, cap: int | None, fmt: str,
+             out: str | None) -> None:
     """Component structure of the recolouring graph on k colours."""
     g = read_graph(graph, fmt)
     cap = _positive_cap(cap, "--cap") if cap is not None else default_cap()
     report = reconfiguration_components(g, k, colouring_cap=cap)
     if dot:
         _write_text(dot, reconfiguration_dot(g, k, cap=cap))
-    if verify:
-        require(all(is_frozen_colouring(g, p) for p in report.frozen_colourings),
-                "reported frozen colouring is not frozen")
     _emit(out, _dump(report.to_json()))
 
 
@@ -343,13 +329,14 @@ def reconfig(graph: str, k: int, dot: str | None, cap: int | None, verify: bool,
               help="Refuse diamond-middle case-1 edges that could create a square.")
 @click.option("--theta-check", is_flag=True,
               help="Confirm with the exact solver that the cover number rose.")
-@verify_option
 @format_option
 @out_option
 @_exit_codes
 def subdivide(graph: str, x: int, y: int, certs: str | None, strict_c4: bool,
-              theta_check: bool, verify: bool, fmt: str, out: str | None) -> None:
+              theta_check: bool, fmt: str, out: str | None) -> None:
     """Subdivide edge xy into a path x-u-v-y, transporting certificates."""
+    if certs is None and (theta_check or not strict_c4):
+        raise UsageFailure("--theta-check and --no-strict-c4 need --certs")
     g = read_graph(graph, fmt)
     if certs is None:
         h = subdivide_edge(g, x, y)
@@ -369,11 +356,6 @@ def subdivide(graph: str, x: int, y: int, certs: str | None, strict_c4: bool,
     if theta_check:
         result = with_theta_check(result, g, q.k)
         require(result.theta_incremented is not False, "cover number did not rise by one")
-    if verify:
-        require(is_clique_partition(result.graph_out, result.q_out),
-                "transported clique partition failed verification")
-        require(is_frozen_clique_partition(result.graph_out, result.f_out),
-                "transported frozen partition failed verification")
     payload = {
         "graph6": encode_graph6(result.graph_out),
         "graph": graph_to_json(result.graph_out),
@@ -412,13 +394,11 @@ def _random_proper(g: Graph, ell: int, rng: random.Random) -> BlockPartition:
 @click.option("--sample", type=int, default=None,
               help="Instead of endpoints, walk this many seeded random pairs.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@verify_option
 @format_option
 @out_option
 @_exit_codes
 def recolour(graph: str, ell: int, start: str | None, target: str | None,
-             sample: int | None, seed: int, verify: bool, fmt: str,
-             out: str | None) -> None:
+             sample: int | None, seed: int, fmt: str, out: str | None) -> None:
     """Stepwise recolouring between two colourings, replay-verified."""
     if sample is None and (start is None or target is None):
         raise click.UsageError("provide --start and --target, or --sample N")
@@ -440,14 +420,7 @@ def recolour(graph: str, ell: int, start: str | None, target: str | None,
         except ValueError as exc:
             raise UsageFailure(f"bad colour line: {exc}")
         pairs.append((beta, gamma))
-    sequences = []
-    for beta, gamma in pairs:
-        seq = path_between(g, beta, gamma, ell)
-        if verify:
-            stats = verify_moves(g, seq)
-            require(stats.valid and stats.end == gamma,
-                    "move sequence failed replay verification")
-        sequences.append(seq.to_json())
+    sequences = [path_between(g, beta, gamma, ell).to_json() for beta, gamma in pairs]
     payload = sequences[0] if len(sequences) == 1 else {"paths": sequences}
     _emit(out, _dump(payload))
 

@@ -368,18 +368,6 @@ def find_induced(g: Graph, pattern: str) -> tuple[int, ...] | None:
     return found
 
 
-def triangles(g: Graph) -> list[tuple[int, int, int]]:
-    """All 3-cliques, each once, sorted by vertex indices."""
-    out = []
-    for u in range(g.n):
-        row_u = g.rows[u] >> (u + 1) << (u + 1)
-        for v in bits(row_u):
-            common = g.rows[u] & g.rows[v] >> (v + 1) << (v + 1)
-            for w in bits(common):
-                out.append((u, v, w))
-    return out
-
-
 def is_diamond_middle_edge(g: Graph, x: int, y: int) -> bool:
     """True iff edge xy joins the two degree-3 vertices of some diamond.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .graph import Graph, bits, complement, triangles
+from .graph import Graph, bits, complement
 
 
 class BlockPartition:
@@ -125,15 +125,16 @@ def is_clique_partition(g: Graph, p: BlockPartition) -> bool:
     return is_proper_colouring(complement(g), p)
 
 
-def is_frozen_colouring(g: Graph, p: BlockPartition) -> bool:
-    """True iff p is proper, has no empty block, and no vertex can move.
+def _frozen(g: Graph, p: BlockPartition, noun: str) -> bool:
+    """True iff p is proper on g, has no empty block, and no vertex can move.
 
     A vertex can move to any class with no neighbour of it, and to any empty
     class, so frozen means: every block nonempty and every vertex has a
-    neighbour in every block but its own.
+    neighbour in every block but its own. An improper p raises ValueError
+    naming the noun it fails to be.
     """
     if not is_proper_colouring(g, p):
-        raise ValueError("not a proper colouring")
+        raise ValueError(f"not a {noun}")
     masks = p.block_masks()
     if any(m == 0 for m in masks):
         return False
@@ -145,47 +146,14 @@ def is_frozen_colouring(g: Graph, p: BlockPartition) -> bool:
     return True
 
 
+def is_frozen_colouring(g: Graph, p: BlockPartition) -> bool:
+    """True iff p is a proper colouring, no block empty, no vertex can move."""
+    return _frozen(g, p, "proper colouring")
+
+
 def is_frozen_clique_partition(g: Graph, p: BlockPartition) -> bool:
     """True iff p is a clique partition, no block empty, no vertex can move.
 
     Dual reading: equals is_frozen_colouring(complement(g), p).
     """
-    h = complement(g)
-    if not is_proper_colouring(h, p):
-        raise ValueError("not a clique partition")
-    return is_frozen_colouring(h, p)
-
-
-def frozen_by_triangles(g: Graph, p: BlockPartition) -> bool:
-    """Frozen-ness test for a partition into edges.
-
-    Requires every block to be an edge of g. Such a partition is frozen
-    exactly when every triangle of g meets three distinct blocks: a triangle
-    inside two blocks means one block's edge sits in a third vertex's
-    neighbourhood, which is the only way a move can open up.
-    """
-    _check_ground(g, p)
-    idx = [-1] * g.n
-    for c, b in enumerate(p.blocks):
-        if len(b) != 2:
-            raise ValueError(f"block {c} has size {len(b)}, need exactly 2")
-        x, y = sorted(b)
-        if not g.has_edge(x, y):
-            raise ValueError(f"block {c} = {{{x},{y}}} is not an edge")
-        idx[x] = idx[y] = c
-    for u, v, w in triangles(g):
-        if len({idx[u], idx[v], idx[w]}) < 3:
-            return False
-    return True
-
-
-def join_certificates(p_g: BlockPartition, p_h: BlockPartition) -> BlockPartition:
-    """Concatenate partitions across a join, shifting the second ground set.
-
-    If both inputs are frozen colourings of their graphs, the result is a
-    frozen colouring of the join: old moves stay blocked, and every vertex is
-    adjacent to the entire far side, so no vertex can enter a far block.
-    """
-    shift = p_g.ground
-    shifted = [{v + shift for v in b} for b in p_h.blocks]
-    return BlockPartition(list(p_g.blocks) + shifted)
+    return _frozen(complement(g), p, "clique partition")

@@ -10,18 +10,15 @@ so union-find runs in the same pass and edges are never stored.
 
 from __future__ import annotations
 
-import warnings
 from array import array
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
 from .graph import Graph, require
 from .partitions import BlockPartition, is_frozen_colouring
-from .solvers import chromatic_number
 
 DEFAULT_COLOURING_CAP = 2 * 10**7
 DEFAULT_UNION_CAP = 10**8
-DEFAULT_BFS_CAP = 2000
 
 
 class CapExceeded(RuntimeError):
@@ -201,64 +198,6 @@ def reconfiguration_components(
     )
 
 
-def is_k_mixing(g: Graph, k: int, colouring_cap: int = DEFAULT_COLOURING_CAP) -> bool:
-    """True iff R_k(g) is connected; vacuously true when it is empty."""
-    report = reconfiguration_components(g, k, colouring_cap)
-    if report.colouring_count == 0:
-        warnings.warn(f"no proper {k}-colourings; mixing holds vacuously")
-        return True
-    return report.component_count == 1
-
-
-def recolouring_diameter(g: Graph, k: int, colouring_cap: int = DEFAULT_COLOURING_CAP):
-    """Exact diameter of R_k(g) by repeated BFS.
-
-    Returns one integer when R_k is connected, otherwise a tuple of
-    per-component diameters ordered by decreasing component size. A
-    component above DEFAULT_BFS_CAP states raises CapExceeded.
-    """
-    space = _Packing(g, k)
-    index: dict[int, int] = {}
-    adj: list[list[int]] = []
-    for code, cols, _, lower in space.walk(colouring_cap):
-        index[code] = i = len(adj)
-        row = [index[t] for t in space.targets(code, cols, lower)]
-        for j in row:
-            adj[j].append(i)
-        adj.append(row)
-    if not adj:
-        raise ValueError("no proper colourings")
-
-    members: list[list[int]] = []
-    placed = [False] * len(adj)
-    for s in range(len(adj)):
-        if not placed[s]:
-            members.append(list(_distances(adj, s)))  # BFS order, s first
-            for i in members[-1]:
-                placed[i] = True
-
-    diameters = []
-    for group in sorted(members, key=lambda grp: (-len(grp), grp[0])):
-        if len(group) > DEFAULT_BFS_CAP:
-            raise CapExceeded(
-                f"component of {len(group)} states exceeds bfs cap {DEFAULT_BFS_CAP}")
-        diameters.append(max(max(_distances(adj, s).values()) for s in group))
-    return diameters[0] if len(diameters) == 1 else tuple(diameters)
-
-
-def _distances(adj: list[list[int]], s: int) -> dict[int, int]:
-    """BFS distances from s to every state of its component, in BFS order."""
-    dist = {s: 0}
-    queue = deque([s])
-    while queue:
-        i = queue.popleft()
-        for j in adj[i]:
-            if j not in dist:
-                dist[j] = dist[i] + 1
-                queue.append(j)
-    return dist
-
-
 def frozen_k_bound(g: Graph) -> int:
     """The largest k for which g could have a frozen k-colouring.
 
@@ -427,25 +366,6 @@ def find_frozen(g: Graph, k: int) -> BlockPartition | None:
             seen[v], count[v] = s2, q
             used[v] = used[v - 1] + (c == used[v - 1])
             break
-
-
-def recolourable_up_to(
-    g: Graph, k_max: int, colouring_cap: int = DEFAULT_COLOURING_CAP
-) -> list[tuple[int, bool | None]]:
-    """Mixing verdicts for k from chi(g)+1 up to k_max.
-
-    A bounded probe only: a row (k, True) means R_k(g) is connected, and a
-    None verdict means the cap was exceeded at that k. No claim is made
-    beyond k_max.
-    """
-    chi, _ = chromatic_number(g)
-    out: list[tuple[int, bool | None]] = []
-    for k in range(chi + 1, k_max + 1):
-        try:
-            out.append((k, is_k_mixing(g, k, colouring_cap)))
-        except CapExceeded:
-            out.append((k, None))
-    return out
 
 
 def reconfiguration_dot(g: Graph, k: int, cap: int = 10**4) -> str:

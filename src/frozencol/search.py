@@ -19,9 +19,8 @@ from .graph import (
     decode_graph6,
     encode_graph6,
     find_induced,
-    require,
 )
-from .partitions import BlockPartition, is_frozen_colouring
+from .partitions import BlockPartition
 from .reconfig import find_frozen, frozen_k_bound
 from .solvers import chromatic_number
 
@@ -166,9 +165,8 @@ def _frozen_above_chi(
     top = cap if max_k is not None else min(cap, low)
     found = []
     for k in range(low, top + 1):
-        witness = find_frozen(g, k)
+        witness = find_frozen(g, k)  # find_frozen re-checks its witness
         if witness is not None:
-            require(is_frozen_colouring(g, witness), "witness colouring is not frozen")
             found.append((k, witness))
     return chi, found
 
@@ -235,7 +233,3 @@ def exhaustive_small(n_max: int, spec: PredicateSpec) -> SearchReport:
         raise ValueError(f"n_max must be between 1 and {EXHAUSTIVE_MAX}")
     return _scan((g for n in range(1, n_max + 1) for g in _all_graphs(n)), spec)
 
-
-def frozen_gap_finder(g: Graph, max_k: int) -> list[tuple[int, BlockPartition]]:
-    """All k in chi+1..max_k admitting a frozen k-colouring, with witnesses."""
-    return _frozen_above_chi(g, 1, max_k)[1]

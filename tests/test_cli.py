@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from click.testing import CliRunner
 
-from frozencol import cli
+from frozencol import reconfig, transform
 from frozencol.cli import main
 from frozencol.families import me_complement
 from frozencol.graph import complement, cycle_graph, decode_graph6, encode_graph6
@@ -134,6 +134,17 @@ def test_check_size_mismatch_is_usage_error(runner, c5_path, tmp_path):
     assert result.exit_code == 2
 
 
+def test_check_k_must_match_json_partition(runner, c5_path, tmp_path):
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps({"k": 5, "blocks": [[v] for v in range(5)]}))
+    result = runner.invoke(main, ["check", c5_path, str(part), "--k", "3"])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: --k 3 but partition {part} has k=5\n"
+    same = runner.invoke(main, ["check", c5_path, str(part), "--k", "5"])
+    assert same.exit_code == 0
+    assert same.output == "PASS: proper colouring\n"
+
+
 def test_check_unreadable_graph_is_usage_error(runner, tmp_path):
     result = runner.invoke(main, ["check", str(tmp_path / "absent.g6"), ME2_LEFT])
     assert result.exit_code == 2
@@ -237,6 +248,13 @@ def test_subdivide_non_edge_is_usage_error(runner, c5_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("flag", ["--theta-check", "--no-strict-c4"])
+def test_subdivide_certificate_flags_need_certs(runner, c5_path, flag):
+    result = runner.invoke(main, ["subdivide", c5_path, "--x", "0", "--y", "1", flag])
+    assert result.exit_code == 2
+    assert result.stderr == "error: --theta-check and --no-strict-c4 need --certs\n"
+
+
 def test_subdivide_with_certificates(runner, tmp_path):
     left = json.loads(Path(ME2_LEFT).read_text())
     right = json.loads(Path(ME2_RIGHT).read_text())
@@ -257,19 +275,21 @@ def test_subdivide_with_certificates(runner, tmp_path):
     assert is_frozen_clique_partition(g, f)
 
 
-@pytest.mark.parametrize("flag, code", [("--verify", 1), ("--no-verify", 0)])
-def test_subdivide_verify_rechecks_transported_certificates(runner, tmp_path, monkeypatch,
-                                                            flag, code):
+def test_subdivide_rechecks_transported_certificates(runner, tmp_path, monkeypatch):
     certs = tmp_path / "certs.json"
     certs.write_text(json.dumps({
         key: {k: json.loads(Path(path).read_text())[k] for k in ("k", "blocks")}
         for key, path in (("clique_partition", ME2_LEFT), ("frozen_partition", ME2_RIGHT))
     }))
-    monkeypatch.setattr(cli, "is_frozen_clique_partition", _false)
+    checker = transform.is_frozen_clique_partition
+    # the input graph has 10 vertices: only the 12-vertex output is refused
+    monkeypatch.setattr(transform, "is_frozen_clique_partition",
+                        lambda g, p: g.n == 10 and checker(g, p))
     result = runner.invoke(main, ["subdivide", ME2_RIGHT, "--x", "7", "--y", "8",
-                                  "--certs", str(certs), flag])
-    assert result.exit_code == code
-    assert result.stderr.startswith("verification failed: ") == (code == 1)
+                                  "--certs", str(certs)])
+    assert result.exit_code == 1
+    assert result.stderr == ("verification failed: "
+                             "transported f certificate failed verification\n")
 
 
 # -- recolour -------------------------------------------------------------------
@@ -450,12 +470,18 @@ def test_checkpoint_into_missing_directory_exits_two(runner, tmp_path):
 
 
 def test_verification_failure_exits_one(runner, c6_path, monkeypatch):
-    monkeypatch.setattr(cli, "is_frozen_colouring", lambda g, p: False)
+    monkeypatch.setattr(reconfig, "is_frozen_colouring", lambda g, p: False)
     failed = runner.invoke(main, ["reconfig", c6_path, "--k", "3"])
     assert failed.exit_code == 1
     assert failed.stderr.startswith("verification failed:")
-    unchecked = runner.invoke(main, ["reconfig", c6_path, "--k", "3", "--no-verify"])
-    assert unchecked.exit_code == 0
+
+
+@pytest.mark.parametrize("sub", ["family", "solve", "reconfig", "subdivide", "recolour"])
+def test_verify_flags_are_gone(runner, sub):
+    for flag in ("--verify", "--no-verify"):
+        result = runner.invoke(main, [sub, flag])
+        assert result.exit_code == 2
+        assert "No such option" in result.stderr and flag in result.stderr
 
 
 def test_solver_order_limit_exits_two(runner, tmp_path):
@@ -497,7 +523,8 @@ def test_search_exhaustive_rejects_stream_and_checkpoint(runner, tmp_path, extra
 # Every subcommand's exit-0, exit-1 and exit-2 paths, every --help text, and
 # the files the CLI writes, compared byte for byte with tests/golden/cli.json.
 # Exit-1 paths that correct code never reaches are forced by replacing one
-# checker in the cli module with a stub that reports failure.
+# checker, where the module that runs the check binds it, with a stub that
+# reports failure.
 # To recapture from a checkout whose output is known good, write
 # json.dumps(_cli_surface(<empty dir>), indent=1, sort_keys=True) + "\n".
 
@@ -511,7 +538,7 @@ def _false(*args):
 
 
 def _failed_replay(g, seq):
-    return SimpleNamespace(valid=False, end=None)
+    return SimpleNamespace(valid=False, failure_index=0, end=None)
 
 
 def _theta_not_raised(result, h, k):
@@ -557,10 +584,10 @@ def _cli_cases(tmp: Path) -> list[tuple]:
         ("family-unknown", ["family", "--name", "NOPE", "--q", "2"], None, {}, {}),
         ("family-bad-q", ["family", "--name", "ME", "--q", "1"], None, {}, {}),
         ("family-no-q", ["family", "--name", "ME"], None, {}, {}),
-        ("family-canonical-fails", me, None, {}, {"is_clique_partition": _false}),
-        ("family-frozen-fails", me, None, {}, {"is_frozen_clique_partition": _false}),
-        ("family-no-verify", me + ["--no-verify"], None, {},
-         {"is_clique_partition": _false}),
+        ("family-canonical-fails", me, None, {},
+         {"families.is_clique_partition": _false}),
+        ("family-frozen-fails", me, None, {},
+         {"families.is_frozen_clique_partition": _false}),
         ("check-frozen-clique", ["check", ME2_RIGHT, ME2_RIGHT, "--frozen",
                                  "--clique-partition"], None, {}, {}),
         ("check-clique", ["check", ME2_LEFT, ME2_LEFT, "--clique-partition"],
@@ -591,9 +618,9 @@ def _cli_cases(tmp: Path) -> list[tuple]:
         ("solve-omega-stdin", ["solve", "-", "--invariant", "omega"],
          encode_graph6(cycle_graph(7)) + "\n", {}, {}),
         ("solve-chi-fails", ["solve", c5s, "--invariant", "chi"], None, {},
-         {"is_proper_colouring": _false}),
+         {"solvers.is_proper_colouring": _false}),
         ("solve-theta-fails", ["solve", c5s, "--invariant", "theta"], None, {},
-         {"is_clique_partition": _false}),
+         {"solvers.is_proper_colouring": _false}),
         ("solve-bad-invariant", ["solve", c5s, "--invariant", "chrom"], None, {}, {}),
         ("solve-bad-graph", ["solve", str(tmp / "bad.g6"), "--format", "graph6"],
          None, {}, {}),
@@ -601,9 +628,7 @@ def _cli_cases(tmp: Path) -> list[tuple]:
         ("reconfig-dot", ["reconfig", c5s, "--k", "3", "--dot", str(tmp / "c5.dot")],
          None, {}, {}),
         ("reconfig-fails", ["reconfig", c6s, "--k", "3"], None, {},
-         {"is_frozen_colouring": _false}),
-        ("reconfig-no-verify", ["reconfig", c6s, "--k", "3", "--no-verify"], None, {},
-         {"is_frozen_colouring": _false}),
+         {"reconfig.is_frozen_colouring": _false}),
         ("reconfig-cap", ["reconfig", c6s, "--k", "3", "--cap", "5"], None, {}, {}),
         ("reconfig-cap-env", ["reconfig", c6s, "--k", "3"], None,
          {"FROZENCOL_CAP": "5"}, {}),
@@ -619,7 +644,7 @@ def _cli_cases(tmp: Path) -> list[tuple]:
          None, {}, {}),
         ("subdivide-theta-fails", ["subdivide", ME2_RIGHT, "--x", "7", "--y", "8",
                                    "--certs", str(tmp / "certs.json"), "--theta-check"],
-         None, {}, {"with_theta_check": _theta_not_raised}),
+         None, {}, {"cli.with_theta_check": _theta_not_raised}),
         ("subdivide-unfrozen-certs", ["subdivide", ME2_RIGHT, "--x", "7", "--y", "8",
                                       "--certs", str(tmp / "unfrozen.json")],
          None, {}, {}),
@@ -632,7 +657,7 @@ def _cli_cases(tmp: Path) -> list[tuple]:
         ("recolour-sample", ["recolour", c5s, "--ell", "4", "--sample", "3",
                              "--seed", "7"], None, {}, {}),
         ("recolour-fails", ["recolour", c5s, "--ell", "4", "--sample", "1"], None, {},
-         {"verify_moves": _failed_replay}),
+         {"recolour.verify_moves": _failed_replay}),
         ("recolour-out-of-scope", ["recolour", c6s, "--ell", "4", "--sample", "1"],
          None, {}, {}),
         ("recolour-no-endpoints", ["recolour", c5s, "--ell", "4"], None, {}, {}),
@@ -671,8 +696,8 @@ def _cli_surface(tmp: Path) -> dict:
     surface = {}
     for name, argv, stdin, env, patches in _cli_cases(tmp):
         with pytest.MonkeyPatch.context() as mp:
-            for attr, stub in patches.items():
-                mp.setattr(cli, attr, stub)
+            for target, stub in patches.items():
+                mp.setattr(f"frozencol.{target}", stub)
             result = runner.invoke(main, argv, input=stdin,
                                    env={"FROZENCOL_CAP": None, **env},
                                    terminal_width=80)

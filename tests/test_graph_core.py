@@ -33,7 +33,6 @@ from frozencol.graph import (
     path_graph,
     read_dimacs,
     relabel,
-    triangles,
     write_dimacs,
 )
 
@@ -190,16 +189,6 @@ def test_find_2k2_matches_edge_pair_scan(n, p, seed):
     g = random_graph(random.Random(seed), n, p)
     for h in (g, complement(g)):
         assert find_induced(h, "2K2") == _reference_find_2k2(h)
-
-
-def test_triangles_matches_brute_force():
-    rng = random.Random(7)
-    for trial in range(40):
-        g = random_graph(rng, rng.randrange(3, 10), 0.5)
-        expected = [
-            t for t in itertools.combinations(range(g.n), 3) if induces(g, t, "K3")
-        ]
-        assert triangles(g) == expected
 
 
 def test_diamond_middle_edge():
@@ -451,6 +440,25 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_imports_are_used():
+    # a name imported into a module and never read there is a leftover
+    unused = []
+    for path in sorted((SRC / "frozencol").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
+
+
 _CORRUPT_KERNEL = """
 import frozencol.solvers as S
 from frozencol.graph import cycle_graph
@@ -516,7 +524,7 @@ def test_cli_reports_corrupt_kernel_under_python_O(tmp_path):
     c6.write_text(encode_graph6(cycle_graph(6)) + "\n")
     code = _CORRUPT_KERNEL + (
         "from frozencol.cli import main\n"
-        f"main(['solve', {str(c6)!r}, '--invariant', 'chi', '--no-verify'])\n")
+        f"main(['solve', {str(c6)!r}, '--invariant', 'chi'])\n")
     proc = _run_optimised(code, tmp_path)
     assert proc.returncode == 1, proc.stdout
     assert proc.stderr.startswith("verification failed: "), proc.stderr

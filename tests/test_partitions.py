@@ -1,4 +1,4 @@
-"""Block partitions, frozen-ness checkers, and the join composition."""
+"""Block partitions, frozen-ness checkers, and frozen colourings of joins."""
 
 import itertools
 import random
@@ -15,12 +15,10 @@ from frozencol.graph import (
 )
 from frozencol.partitions import (
     BlockPartition,
-    frozen_by_triangles,
     is_clique_partition,
     is_frozen_clique_partition,
     is_frozen_colouring,
     is_proper_colouring,
-    join_certificates,
 )
 
 
@@ -191,15 +189,14 @@ def test_frozen_partition_has_no_bad_singleton():
 # -- the triangle criterion -------------------------------------------------------
 
 
-def test_frozen_by_triangles_examples():
-    k4 = complete_graph(4)
-    assert not frozen_by_triangles(k4, BlockPartition([{0, 1}, {2, 3}]))
-    c6 = cycle_graph(6)  # triangle-free: vacuously frozen
-    assert frozen_by_triangles(c6, BlockPartition([{0, 1}, {2, 3}, {4, 5}]))
-    with pytest.raises(ValueError):
-        frozen_by_triangles(c6, BlockPartition([{0, 1, 2}, {3, 4}, {5}]))
-    with pytest.raises(ValueError):
-        frozen_by_triangles(c6, BlockPartition([{0, 3}, {1, 2}, {4, 5}]))  # non-edge
+def frozen_by_triangles(g, p):
+    """A partition of g into edges is frozen iff every triangle meets three
+    blocks: a triangle inside two blocks puts one block's edge in a third
+    vertex's neighbourhood, which is the only way a move can open up."""
+    idx = [p.block_of(v) for v in range(g.n)]
+    return all(len({idx[u], idx[v], idx[w]}) == 3
+               for u, v, w in itertools.combinations(range(g.n), 3)
+               if g.has_edge(u, v) and g.has_edge(v, w) and g.has_edge(u, w))
 
 
 def test_frozen_by_triangles_agrees_with_checker():
@@ -222,14 +219,15 @@ def test_frozen_by_triangles_agrees_with_checker():
         assert frozen_by_triangles(g, p) == is_frozen_clique_partition(g, p)
 
 
-# -- join composition ---------------------------------------------------------------
+# -- joins ---------------------------------------------------------------------------
+# Frozen colourings of g and h, the second shifted past g's vertices, make a
+# frozen colouring of their join: old moves stay blocked, and every vertex is
+# adjacent to the entire far side, so no vertex can enter a far block.
 
 
-def test_join_certificates_shifts_blocks():
-    p = BlockPartition([{0}, {1}])
-    q = BlockPartition([{0, 1}])
-    out = join_certificates(p, q)
-    assert out.blocks == (frozenset({0}), frozenset({1}), frozenset({2, 3}))
+def join_colourings(p_g, p_h):
+    shift = p_g.ground
+    return BlockPartition(list(p_g.blocks) + [{v + shift for v in b} for b in p_h.blocks])
 
 
 def test_join_of_frozen_is_frozen():
@@ -237,7 +235,7 @@ def test_join_of_frozen_is_frozen():
     p = BlockPartition([{0, 3}, {1, 4}, {2, 5}])
     assert is_frozen_colouring(c6, p)
     big = join(c6, c6)
-    out = join_certificates(p, p)
+    out = join_colourings(p, p)
     assert out.k == 6
     assert is_frozen_colouring(big, out)
 
@@ -245,6 +243,6 @@ def test_join_of_frozen_is_frozen():
 def test_k1_join_k1():
     one = complete_graph(1)
     p = BlockPartition([{0}])
-    out = join_certificates(p, p)
-    assert out.k == 2
+    out = join_colourings(p, p)
+    assert out.blocks == (frozenset({0}), frozenset({1}))
     assert is_frozen_colouring(join(one, one), out)

@@ -1,4 +1,4 @@
-"""Recolouring state space: enumeration, components, frozen search, diameter."""
+"""Recolouring state space: enumeration, components, frozen search."""
 
 import itertools
 import json
@@ -26,10 +26,7 @@ from frozencol.reconfig import (
     _Packing,
     find_frozen,
     frozen_k_bound,
-    is_k_mixing,
     proper_colour_vectors,
-    recolourable_up_to,
-    recolouring_diameter,
     reconfiguration_components,
     reconfiguration_dot,
 )
@@ -126,18 +123,12 @@ def test_path_is_mixing():
     rep = reconfiguration_components(path_graph(3), 3)
     assert rep.component_count == 1
     assert rep.frozen_colourings == ()
-    assert is_k_mixing(path_graph(3), 3)
 
 
 def test_mixing_examples():
-    assert not is_k_mixing(complete_graph(3), 3)
+    assert reconfiguration_components(complete_graph(3), 3).component_count > 1
     me_original = complement(me_complement(2).graph)
-    assert not is_k_mixing(me_original, 5)
-
-
-def test_vacuous_mixing_warns():
-    with pytest.warns(UserWarning, match="vacuously"):
-        assert is_k_mixing(cycle_graph(5), 2)
+    assert reconfiguration_components(me_original, 5).component_count > 1
 
 
 def test_truncation_flag_and_cap():
@@ -250,48 +241,6 @@ def test_frozen_report_matches_checker_by_brute_force(seed, k):
         if frozen:
             expect.add(p)
     assert set(rep.frozen_colourings) == expect
-
-
-# -- diameter ------------------------------------------------------------------
-
-
-def test_k2_three_colour_diameter():
-    d = recolouring_diameter(complete_graph(2), 3)
-    assert d == 3  # R_3(K_2) is a 6-cycle
-    assert d <= 4 * 2
-
-
-def test_star_diameter_within_bound():
-    star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    d = recolouring_diameter(star, 3)
-    assert isinstance(d, int) and d <= 16
-
-
-def test_c5_four_colours_diameter_within_bound():
-    d = recolouring_diameter(cycle_graph(5), 4)
-    assert isinstance(d, int) and d <= 14 * 5
-
-
-def test_diameters_match_goldens():
-    star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    graphs = {"k2_k3": (complete_graph(2), 3), "star_k3": (star, 3),
-              "c5_k4": (cycle_graph(5), 4), "p4_k3": (path_graph(4), 3),
-              "k3_k3": (complete_graph(3), 3), "c6_k3": (cycle_graph(6), 3),
-              "c4_k3": (cycle_graph(4), 3)}
-    for name, (g, k) in graphs.items():
-        d = recolouring_diameter(g, k)
-        want = GOLDEN["diameter"][name]
-        assert d == (tuple(want) if isinstance(want, list) else want), name
-
-
-def test_disconnected_diameters_and_bfs_cap(monkeypatch):
-    d = recolouring_diameter(complete_graph(3), 3)
-    assert d == (0,) * 6
-    monkeypatch.setattr(reconfig, "DEFAULT_BFS_CAP", 10)
-    with pytest.raises(CapExceeded, match="exceeds bfs cap 10"):
-        recolouring_diameter(cycle_graph(5), 4)
-    with pytest.raises(ValueError):
-        recolouring_diameter(cycle_graph(5), 2)
 
 
 # -- frozen search ----------------------------------------------------------------
@@ -475,14 +424,12 @@ def test_find_frozen_on_complete_multipartite():
     assert find_frozen(g, 4) is None
 
 
-# -- bounded recolourability probe ---------------------------------------------------
+# -- connected recolouring graphs ----------------------------------------------------
 
 
 def test_recolourable_probe():
-    assert recolourable_up_to(cycle_graph(5), 5) == [(4, True), (5, True)]
-    assert recolourable_up_to(path_graph(4), 4) == [(3, True), (4, True)]
-    me_original = complement(me_complement(2).graph)
-    assert (5, False) in recolourable_up_to(me_original, 5)
+    for g, ks in ((cycle_graph(5), (4, 5)), (path_graph(4), (3, 4))):
+        assert [reconfiguration_components(g, k).component_count for k in ks] == [1, 1]
 
 
 # -- family certificates -------------------------------------------------------------

@@ -26,7 +26,6 @@ from frozencol.search import (
     PredicateSpec,
     SearchReport,
     exhaustive_small,
-    frozen_gap_finder,
     scan_stream,
 )
 from frozencol.solvers import chromatic_number
@@ -233,7 +232,12 @@ def test_exhaustive_matches_stream_of_same_graphs(spec):
     assert exhaustive_small(4, spec).to_json() == scan_stream(lines, spec).to_json()
 
 
-# --- frozen_gap_finder ---
+# --- frozen colourings above chi ---
+
+
+def frozen_gap_finder(g, max_k):
+    """Every k in chi+1..max_k with a frozen k-colouring, with its witness."""
+    return search._frozen_above_chi(g, 1, max_k)[1]
 
 
 def test_gap_finder_ke2_includes_six():
@@ -306,7 +310,7 @@ def test_clique_gate_fires_on_pendant_vertex():
     g = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)])
     with patch.object(search, "chromatic_number", _no_chi):
         assert search._frozen_above_chi(g, 1, None) == (None, [])
-        assert search.frozen_gap_finder(g, 6) == []
+        assert frozen_gap_finder(g, 6) == []
 
 
 def test_clique_gate_fires_on_c5_passes_c7():

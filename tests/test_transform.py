@@ -16,7 +16,6 @@ from frozencol.graph import (
 )
 from frozencol.partitions import (
     BlockPartition,
-    frozen_by_triangles,
     is_clique_partition,
     is_frozen_clique_partition,
     is_frozen_colouring,
@@ -177,8 +176,8 @@ def test_iterated_subdivision_matches_chain_builder():
 
 def rand_frozen_c4_free(rng, pairs):
     """Random C4-free graph on 2*pairs vertices with a frozen matching
-    partition, grown by rejection: an extra edge stays only if every new
-    triangle meets three blocks and no induced C4 appears."""
+    partition, grown by rejection: an extra edge stays only if the matching
+    stays a frozen clique partition and no induced C4 appears."""
     n = 2 * pairs
     perm = list(range(n))
     rng.shuffle(perm)
@@ -196,7 +195,7 @@ def rand_frozen_c4_free(rng, pairs):
             candidate = graph_from_edges(n, g.edges() + [(a, b)])
             if find_induced(candidate, "C4") is not None:
                 continue
-            if not frozen_by_triangles(candidate, f):
+            if not is_frozen_clique_partition(candidate, f):
                 continue
             g = candidate
     return g, f
