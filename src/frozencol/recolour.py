@@ -1,10 +1,16 @@
 """Constructive recolouring: verified move sequences with per-vertex bounds.
 
-Every operation returns a MoveSequence that has been replayed for properness
-before it is handed back. The pipeline: grow a maximal-first partition, reach
-a colouring monochromatic on each part (at most 6 moves per vertex on
-3-chromatic 2K2-free graphs, 1 on bipartite ones), and bridge two such
-colourings by renaming classes (at most 2 moves per vertex).
+The pipeline: grow a maximal-first partition, reach a colouring monochromatic
+on each part (at most 6 moves per vertex on 3-chromatic 2K2-free graphs, 1 on
+bipartite ones), and bridge two such colourings by renaming classes (at most
+2 moves per vertex).
+
+Each stage is a private builder that appends to a shared _Recorder, which
+checks every move as it is made. A builder checks only its own stage: the
+per-vertex bound (6, 4, 2 or 1), counted from the recorder's moves since the
+stage began, and its target colouring. Every public call returns a
+MoveSequence replayed exactly once, by _sealed, against its overall bound and
+end colouring, so path_between composes its stages and is replayed once.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graph import CertificateError, Graph, find_induced, require
+from .graph import CertificateError, Graph, bits, find_induced, require
 from .partitions import BlockPartition, is_proper_colouring
 from .solvers import chromatic_number
 
@@ -88,32 +94,43 @@ def verify_moves(g: Graph, seq: MoveSequence) -> MoveStats:
     """Replay a sequence, rejecting the first improper or no-op move.
 
     failure_index is -1 when the start itself is rejected, otherwise the
-    index of the offending move.
+    index of the offending move. The replay keeps one vertex mask per
+    colour, so a move is proper iff its vertex's row misses the mask of its
+    new colour.
     """
-    counts = [0] * g.n
+    n, ell, rows = g.n, seq.ell, g.rows
+    counts = [0] * n
 
     def fail(index):
         return MoveStats(False, index, len(seq.moves), tuple(counts), max(counts, default=0), None)
 
-    if seq.start.ground != g.n or seq.start.k != seq.ell:
-        return fail(-1)
-    if not is_proper_colouring(g, seq.start):
+    if seq.start.ground != n or seq.start.k != ell:
         return fail(-1)
     cols = seq.start.to_colours()
-    nbrs = _neighbours(g)
+    masks = seq.start.block_masks()
+    if any(rows[v] & masks[c] for v, c in enumerate(cols)):
+        return fail(-1)
     for i, (v, c) in enumerate(seq.moves):
-        if not (0 <= v < g.n and 0 <= c < seq.ell) or cols[v] == c:
+        if not (0 <= v < n and 0 <= c < ell):
             return fail(i)
-        if any(cols[u] == c for u in nbrs[v]):
+        old = cols[v]
+        if old == c or rows[v] & masks[c]:
             return fail(i)
+        masks[old] ^= 1 << v
+        masks[c] |= 1 << v
         cols[v] = c
         counts[v] += 1
-    end = BlockPartition.from_colours(cols, seq.ell)
+    end = BlockPartition.from_colours(cols, ell)
     return MoveStats(True, None, len(seq.moves), tuple(counts), max(counts, default=0), end)
 
 
 class _Recorder:
-    """Accumulates moves while tracking the current colour vector."""
+    """Accumulates moves while tracking the current colour vector.
+
+    Every move is checked as it is made. Each stage builder appends to a
+    shared recorder and checks its own stage with check_stage, so a walk
+    composed of several stages is replayed only once, by its final seal.
+    """
 
     def __init__(self, g: Graph, start: BlockPartition, ell: int):
         self.nbrs = _neighbours(g)
@@ -132,28 +149,39 @@ class _Recorder:
         self.moves.append((v, c))
         self.cols[v] = c
 
-    def extend(self, seq: MoveSequence) -> None:
-        for v, c in seq.moves:
-            self.move(v, c)
-
-    def partition(self) -> BlockPartition:
-        return BlockPartition.from_colours(self.cols, self.ell)
+    def check_stage(self, mark: int, bound: int, end: list[int]) -> None:
+        """Check one stage: since move mark, no vertex moved more than bound
+        times, and the colouring is now end."""
+        counts = [0] * len(self.cols)
+        for v, _ in self.moves[mark:]:
+            counts[v] += 1
+        require(max(counts, default=0) <= bound,
+                f"a vertex moved beyond the stage bound {bound}")
+        require(self.cols == end, "stage ends off its target colouring")
 
 
 def _sealed(g: Graph, start: BlockPartition, moves, ell: int,
-            bound: int | None = None, end: BlockPartition | None = None) -> MoveSequence:
+            bound: int, end: BlockPartition) -> MoveSequence:
     """The walk from start, checked by one replay before it is returned.
 
-    The replay must accept every move; with bound, no vertex may move more
-    often; with end, the walk must finish on that colouring.
+    The replay must accept every move, no vertex may move more than bound
+    times, and the walk must finish on end.
     """
     seq = MoveSequence(start, tuple(moves), ell)
     stats = verify_moves(g, seq)
     if not stats.valid:
         raise CertificateError(f"emitted sequence fails replay at {stats.failure_index}")
-    require(bound is None or stats.max_per_vertex <= bound, "a vertex moved beyond the bound")
-    require(end is None or stats.end == end, "walk ends off its target colouring")
+    require(stats.max_per_vertex <= bound, "a vertex moved beyond the bound")
+    require(stats.end == end, "walk ends off its target colouring")
     return seq
+
+
+def _classes(cols: list[int], ell: int) -> dict[int, int]:
+    """Vertex mask of each nonempty colour class -> its colour."""
+    masks = [0] * ell
+    for v, c in enumerate(cols):
+        masks[c] |= 1 << v
+    return {mask: c for c, mask in enumerate(masks) if mask}
 
 
 @dataclass(frozen=True)
@@ -248,35 +276,32 @@ def complete_vertex(ctx: CanonicalContext, j: int) -> int:
     return x
 
 
-def rename_moves(g: Graph, beta: BlockPartition, gamma: BlockPartition, ell: int) -> MoveSequence:
-    """From beta to gamma when both induce the same unordered partition.
+def _rename(rec: _Recorder, target: list[int]) -> None:
+    """Stage: rename the classes of rec's colouring onto the colours of target.
 
     Decomposes the class-to-colour permutation into paths and cycles; paths
     are shifted from their free end, each cycle is broken by parking one
     class on a currently-unused colour. At most 2 moves per vertex.
     """
-    if beta.k != ell or gamma.k != ell:
-        raise ValueError("both colourings must use the full colour budget")
-    if not is_proper_colouring(g, beta) or not is_proper_colouring(g, gamma):
-        raise ValueError("endpoints must be proper colourings")
-    source = {b: c for c, b in enumerate(beta.blocks) if b}
-    target = {b: c for c, b in enumerate(gamma.blocks) if b}
-    if set(source) != set(target):
+    ell = rec.ell
+    source = _classes(rec.cols, ell)
+    wanted = _classes(target, ell)
+    if source.keys() != wanted.keys():
         raise ValueError("colourings induce different partitions")
     if ell < len(source) + 1:
         raise ValueError("no spare colour: need ell above the used class count")
+    mark = len(rec.moves)
 
-    succ = {}  # colour of a class under beta -> its colour under gamma
+    succ = {}  # colour of a class now -> its colour under target
     block_at = {}
     for block, b in source.items():
-        t = target[block]
+        t = wanted[block]
         if b != t:
             succ[b] = t
             block_at[b] = block
-    rec = _Recorder(g, beta, ell)
 
     def shift(colour_from: int, colour_to: int) -> None:
-        for v in sorted(block_at[colour_from]):
+        for v in bits(block_at[colour_from]):
             rec.move(v, colour_to)
         block_at[colour_to] = block_at.pop(colour_from)
 
@@ -301,7 +326,7 @@ def rename_moves(g: Graph, beta: BlockPartition, gamma: BlockPartition, ell: int
         while c != c1:
             cycle.append(c)
             c = succ[c]
-        occupied = {rec.cols[v] for v in range(g.n)}
+        occupied = set(rec.cols)
         spare = next(s for s in range(ell) if s not in occupied)
         last = cycle[-1]
         shift(last, spare)
@@ -311,29 +336,54 @@ def rename_moves(g: Graph, beta: BlockPartition, gamma: BlockPartition, ell: int
         for c in cycle:
             del succ[c]
 
+    rec.check_stage(mark, 2, target)
+
+
+def rename_moves(g: Graph, beta: BlockPartition, gamma: BlockPartition, ell: int) -> MoveSequence:
+    """From beta to gamma when both induce the same unordered partition.
+
+    Shifts whole classes along the paths and cycles of the class-to-colour
+    permutation, at most 2 moves per vertex.
+    """
+    if beta.k != ell or gamma.k != ell:
+        raise ValueError("both colourings must use the full colour budget")
+    if not is_proper_colouring(g, beta) or not is_proper_colouring(g, gamma):
+        raise ValueError("endpoints must be proper colourings")
+    rec = _Recorder(g, beta, ell)
+    _rename(rec, gamma.to_colours())
     return _sealed(g, beta, rec.moves, ell, bound=2, end=gamma)
+
+
+def _bipartite_canonical(ctx: CanonicalContext, rec: _Recorder) -> list[int]:
+    """Stage: monochrome both parts of a two-part context, one move per vertex.
+
+    The first part goes to the colour of its vertex complete to the second
+    part (so nothing over there blocks it), then the second part goes to the
+    smallest other colour. Returns the colouring it ends on.
+    """
+    x = complete_vertex(ctx, 1)
+    mark = len(rec.moves)
+    c0 = rec.cols[x]
+    c1 = next(c for c in range(rec.ell) if c != c0)
+    target = [c1] * ctx.graph.n
+    for v in sorted(ctx.parts[0]):
+        rec.move(v, c0)
+        target[v] = c0
+    for v in sorted(ctx.parts[1]):
+        rec.move(v, c1)
+    rec.check_stage(mark, 1, target)
+    return target
 
 
 def bipartite_canonical_moves(
     ctx: CanonicalContext, beta: BlockPartition, ell: int
 ) -> MoveSequence:
-    """Reach a colouring monochromatic on both parts, one move per vertex.
-
-    The first part goes to the colour of its vertex complete to the second
-    part (so nothing over there blocks it), then the second part goes to the
-    smallest other colour.
-    """
+    """Reach a colouring monochromatic on both parts, one move per vertex."""
     _check_start(ctx, beta, ell, 2)
-    g = ctx.graph
-    x = complete_vertex(ctx, 1)
-    rec = _Recorder(g, beta, ell)
-    c0 = rec.cols[x]
-    for v in sorted(ctx.parts[0]):
-        rec.move(v, c0)
-    c1 = next(c for c in range(ell) if c != c0)
-    for v in sorted(ctx.parts[1]):
-        rec.move(v, c1)
-    return _sealed(g, beta, rec.moves, ell, bound=1)
+    rec = _Recorder(ctx.graph, beta, ell)
+    target = _bipartite_canonical(ctx, rec)
+    return _sealed(ctx.graph, beta, rec.moves, ell, bound=1,
+                   end=BlockPartition.from_colours(target, ell))
 
 
 def _two_smallest_other(ell: int, banned: int) -> tuple[int, int]:
@@ -341,10 +391,8 @@ def _two_smallest_other(ell: int, banned: int) -> tuple[int, int]:
     return free[0], free[1]
 
 
-def single_colour_part_moves(
-    ctx: CanonicalContext, psi: BlockPartition, i: int, ell: int
-) -> MoveSequence:
-    """Canonicalise a colouring whose part i is monochromatic (fold-and-shift).
+def _single_colour_part(ctx: CanonicalContext, rec: _Recorder, i: int) -> list[int]:
+    """Stage: canonicalise a colouring whose part i is monochromatic.
 
     Part i keeps its colour c_i and never moves; the other two parts end on
     the two smallest remaining colours, each vertex outside part i moving at
@@ -353,16 +401,11 @@ def single_colour_part_moves(
     neighbour in X (maximal independent in G-A), send X' to the colour of an
     X'-vertex complete to Y-X', send Y-X' to a fourth colour d2, unfold
     X'-and-Y to d2, then shift X and Y onto their target colours and finally
-    fold the stray c_i-coloured vertices into their parts.
+    fold the stray c_i-coloured vertices into their parts. Returns the
+    colouring it ends on.
     """
-    _check_start(ctx, psi, ell, 3, "psi")
-    g = ctx.graph
-    if not 0 <= i < 3:
-        raise ValueError("part index out of range")
-    witness = _two_k2(g)
-    if witness is not None:
-        raise ValueError(f"graph contains an induced 2K2 on {witness}")
-    cols = psi.to_colours()
+    g, ell = ctx.graph, rec.ell
+    cols = list(rec.cols)
     part_i = ctx.parts[i]
     if not part_i:
         raise ValueError(f"part {i} is empty")
@@ -373,18 +416,18 @@ def single_colour_part_moves(
     ji, ki = [t for t in range(3) if t != i]
     c_j, c_k = _two_smallest_other(ell, c_i)
 
-    target_cols = [0] * g.n
+    target = [0] * g.n
     for v in part_i:
-        target_cols[v] = c_i
+        target[v] = c_i
     for v in ctx.parts[ji]:
-        target_cols[v] = c_j
+        target[v] = c_j
     for v in ctx.parts[ki]:
-        target_cols[v] = c_k
-    gamma = BlockPartition.from_colours(target_cols, ell)
+        target[v] = c_k
+    mark = len(rec.moves)
 
     # canonical up to class colours: plain renaming is enough (and cheaper)
-    if {b for b in psi.blocks if b} == {b for b in gamma.blocks if b}:
-        seq = rename_moves(g, psi, gamma, ell)
+    if _classes(cols, ell).keys() == _classes(target, ell).keys():
+        _rename(rec, target)
     else:
         a_set = {v for v in range(g.n) if cols[v] == c_i}
         x_set = set(ctx.parts[ji]) - a_set
@@ -392,7 +435,6 @@ def single_colour_part_moves(
         x_fold = x_set | {y for y in y_set if not any(g.has_edge(y, u) for u in x_set)}
         y_rest = y_set - x_fold
 
-        rec = _Recorder(g, psi, ell)
         if x_fold:
             if y_rest:
                 # a fold vertex complete to the rest exists since g is 2K2-free
@@ -418,43 +460,58 @@ def single_colour_part_moves(
         for v in sorted(a_set & set(ctx.parts[ki])):
             rec.move(v, c_k)
 
-        seq = _sealed(g, psi, rec.moves, ell, bound=4, end=gamma)
-    require(part_i.isdisjoint(v for v, _ in seq.moves), f"part {i} moved")
-    return seq
+    rec.check_stage(mark, 4, target)
+    require(part_i.isdisjoint(v for v, _ in rec.moves[mark:]), f"part {i} moved")
+    return target
 
 
-def canonical_moves(ctx: CanonicalContext, beta: BlockPartition, ell: int) -> MoveSequence:
-    """Reach the exact target colouring of ctx, at most 6 moves per vertex.
+def single_colour_part_moves(
+    ctx: CanonicalContext, psi: BlockPartition, i: int, ell: int
+) -> MoveSequence:
+    """Canonicalise a colouring whose part i is monochromatic (fold-and-shift).
+
+    Part i keeps its colour and never moves; the other two parts end on the
+    two smallest remaining colours, at most 4 moves per vertex.
+    """
+    _check_start(ctx, psi, ell, 3, "psi")
+    g = ctx.graph
+    if not 0 <= i < 3:
+        raise ValueError("part index out of range")
+    witness = _two_k2(g)
+    if witness is not None:
+        raise ValueError(f"graph contains an induced 2K2 on {witness}")
+    rec = _Recorder(g, psi, ell)
+    target = _single_colour_part(ctx, rec, i)
+    return _sealed(g, psi, rec.moves, ell, bound=4, end=BlockPartition.from_colours(target, ell))
+
+
+def _canonical(ctx: CanonicalContext, rec: _Recorder) -> list[int]:
+    """Stage: reach the exact target colouring of ctx, at most 6 moves per vertex.
 
     Decision tree: a part with a vertex dominating everything outside it can
     be monochromed immediately; so can the first part when its two complete
     vertices share a colour. Otherwise stage the two anchor colours through
     every part, which leaves either a part colour that appears nowhere else
     (monochrome it) or, after one orientation swap justified by 2K2-freeness,
-    a part free of some colour entirely. Each branch lands in
-    single_colour_part_moves and a final renaming onto the target colours.
+    a part free of some colour entirely. Each branch lands in the
+    single-colour-part stage and a final renaming onto the target colours,
+    colour j on part j, which it returns.
     """
-    _check_start(ctx, beta, ell, 3)
-    g = ctx.graph
-    chi, _ = _chi(g)
-    if chi != 3:
-        raise ValueError(f"pipeline covers 3-chromatic graphs, got chi={chi}")
+    g, ell = ctx.graph, rec.ell
     x2 = complete_vertex(ctx, 1)
     x3 = complete_vertex(ctx, 2)
-
-    rec = _Recorder(g, beta, ell)
+    mark = len(rec.moves)
     nbrs = rec.nbrs
 
-    def finish(part_index: int) -> MoveSequence:
-        sub = single_colour_part_moves(ctx, rec.partition(), part_index, ell)
-        rec.extend(sub)
-        target_cols = [0] * g.n
+    def finish(part_index: int) -> list[int]:
+        _single_colour_part(ctx, rec, part_index)
+        target = [0] * g.n
         for colour, part in enumerate(ctx.parts):
             for v in part:
-                target_cols[v] = colour
-        gamma = BlockPartition.from_colours(target_cols, ell)
-        rec.extend(rename_moves(g, rec.partition(), gamma, ell))
-        return _sealed(g, beta, rec.moves, ell, bound=6, end=gamma)
+                target[v] = colour
+        _rename(rec, target)
+        rec.check_stage(mark, 6, target)
+        return target
 
     # a vertex adjacent to everything outside its part: monochrome that part
     outside_masks = [
@@ -536,33 +593,47 @@ def canonical_moves(ctx: CanonicalContext, beta: BlockPartition, ell: int) -> Mo
     return finish(2)
 
 
+def canonical_moves(ctx: CanonicalContext, beta: BlockPartition, ell: int) -> MoveSequence:
+    """Reach the exact target colouring of ctx, at most 6 moves per vertex."""
+    _check_start(ctx, beta, ell, 3)
+    chi, _ = _chi(ctx.graph)
+    if chi != 3:
+        raise ValueError(f"pipeline covers 3-chromatic graphs, got chi={chi}")
+    rec = _Recorder(ctx.graph, beta, ell)
+    target = _canonical(ctx, rec)
+    return _sealed(ctx.graph, beta, rec.moves, ell, bound=6,
+                   end=BlockPartition.from_colours(target, ell))
+
+
 def path_between(g: Graph, beta: BlockPartition, gamma: BlockPartition, ell: int) -> MoveSequence:
     """A verified walk from beta to gamma, at most 14 moves per vertex.
 
-    Bipartite graphs take the 1+2+1 pipeline; 3-chromatic graphs take
-    canonical_moves on both ends with a renaming bridge.
+    Bipartite graphs take the 1+2+1 pipeline; 3-chromatic graphs take the
+    canonical stage on both ends with a renaming bridge. The stages run on
+    two recorders, one from each end, and the joined walk is replayed once.
     """
     for p in (beta, gamma):
         if p.k != ell or p.ground != g.n or not is_proper_colouring(g, p):
             raise ValueError("endpoints must be proper colourings on ell blocks")
     if beta == gamma:
-        return MoveSequence(beta, (), ell)
+        return _sealed(g, beta, (), ell, bound=0, end=gamma)
     chi, _ = _chi(g)
     if chi > 3:
         raise ValueError(f"pipeline covers chromatic number up to 3, got {chi}")
     if chi <= 2:
-        parts, canonical, bound = 2, bipartite_canonical_moves, 4
+        parts, canonical, bound = 2, _bipartite_canonical, 4
     else:
-        parts, canonical, bound = 3, canonical_moves, 14
+        parts, canonical, bound = 3, _canonical, 14
     if ell < parts + 1:
         raise ValueError(f"need at least {parts + 1} colours")
     ctx = maximal_first_partition(g, parts)
-    s1 = canonical(ctx, beta, ell)
-    s2 = canonical(ctx, gamma, ell)
-    bridge = rename_moves(g, s1.end_partition(), s2.end_partition(), ell)
-    cols, back = gamma.to_colours(), []  # s2 travelled from its end back to gamma
-    for v, c in s2.moves:
+    ahead, behind = _Recorder(g, beta, ell), _Recorder(g, gamma, ell)
+    canonical(ctx, ahead)
+    canonical(ctx, behind)
+    _rename(ahead, behind.cols)
+    cols, back = gamma.to_colours(), []  # behind travelled from its end back to gamma
+    for v, c in behind.moves:
         back.append((v, cols[v]))
         cols[v] = c
-    moves = s1.moves + bridge.moves + tuple(reversed(back))
+    moves = ahead.moves + back[::-1]
     return _sealed(g, beta, moves, ell, bound=bound, end=gamma)

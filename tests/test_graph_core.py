@@ -489,6 +489,28 @@ beta = BlockPartition.from_colours([0, 1, 0, 1, 2], 4)
 gamma = BlockPartition.from_colours([1, 0, 1, 0, 3], 4)
 R.path_between(cycle_graph(5), beta, gamma, 4)
 """,
+    # every step stays proper and the whole walk keeps within path_between's
+    # bound of 4, so only the bipartite stage's own bound of 1 catches it
+    "recolour stage bound": """
+import frozencol.recolour as R
+from frozencol.graph import cycle_graph
+from frozencol.partitions import BlockPartition
+
+plain = R._Recorder.move
+
+def detour(self, v, c):  # reaches c by way of another free colour
+    if self.cols[v] != c:
+        for d in range(self.ell):
+            if d not in (c, self.cols[v]) and all(self.cols[u] != d for u in self.nbrs[v]):
+                plain(self, v, d)
+                break
+    plain(self, v, c)
+
+R._Recorder.move = detour
+beta = BlockPartition.from_colours([2, 3, 2, 3], 4)
+gamma = BlockPartition.from_colours([0, 1, 0, 1], 4)
+R.path_between(cycle_graph(4), beta, gamma, 4)
+""",
     "frozen check in R_k": """
 import frozencol.reconfig as R
 from frozencol.graph import cycle_graph

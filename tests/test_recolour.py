@@ -20,6 +20,7 @@ from frozencol.graph import (
 )
 from frozencol.families import b_t
 from frozencol.partitions import BlockPartition, is_proper_colouring
+import frozencol.recolour as recolour
 from frozencol.recolour import (
     CanonicalContext,
     MoveSequence,
@@ -98,6 +99,117 @@ def test_replay_rejects_noops_and_out_of_range():
     assert verify_moves(g, MoveSequence(start, ((0, 0),), 3)).failure_index == 0
     assert verify_moves(g, MoveSequence(start, ((0, 3),), 3)).failure_index == 0
     assert verify_moves(g, MoveSequence(start, ((5, 2),), 3)).failure_index == 0
+
+
+def reference_replay(g, seq):
+    """The replay as a list scan over each moving vertex's neighbours."""
+    counts = [0] * g.n
+
+    def verdict(valid, index, end):
+        return valid, index, tuple(counts), max(counts, default=0), end
+
+    start = seq.start
+    if start.ground != g.n or start.k != seq.ell or not is_proper_colouring(g, start):
+        return verdict(False, -1, None)
+    cols = start.to_colours()
+    for i, (v, c) in enumerate(seq.moves):
+        if not (0 <= v < g.n and 0 <= c < seq.ell) or cols[v] == c:
+            return verdict(False, i, None)
+        if any(cols[u] == c for u in g.neighbour_list(v)):
+            return verdict(False, i, None)
+        cols[v] = c
+        counts[v] += 1
+    return verdict(True, None, colouring(cols, seq.ell))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_replay_matches_list_reference(data):
+    n = data.draw(st.integers(min_value=1, max_value=8), label="n")
+    g = graph_from_mask(n, data.draw(st.integers(0, (1 << n * (n - 1) // 2) - 1), label="edges"))
+    ell = data.draw(st.integers(min_value=1, max_value=5), label="ell")
+    cols = data.draw(st.lists(st.integers(0, ell - 1), min_size=n, max_size=n), label="start")
+    start = colouring(cols, ell)
+    moves = []
+    for _ in range(data.draw(st.integers(0, 24), label="length")):
+        if data.draw(st.booleans(), label="proper"):
+            # a proper move when one exists, so replays also run long
+            free = [(v, c) for v in range(n) for c in range(ell)
+                    if c != cols[v] and all(cols[u] != c for u in g.neighbour_list(v))]
+            if free:
+                moves.append(data.draw(st.sampled_from(free), label="move"))
+                v, c = moves[-1]
+                cols[v] = c
+                continue
+        # anything: no-ops, out-of-range vertices and colours, conflicts
+        move = (data.draw(st.integers(-1, n), label="v"), data.draw(st.integers(-1, ell), label="c"))
+        moves.append(move)
+        if 0 <= move[0] < n and 0 <= move[1] < ell:
+            cols[move[0]] = move[1]
+    seq = MoveSequence(start, tuple(moves), ell)
+    stats = verify_moves(g, seq)
+    assert stats.total == len(moves)
+    assert (stats.valid, stats.failure_index, stats.per_vertex, stats.max_per_vertex,
+            stats.end) == reference_replay(g, seq)
+
+
+# -- one replay per public call ----------------------------------------------------
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """Every sequence recolour replays, in order."""
+    seen = []
+    replay = recolour.verify_moves
+
+    def counted(g, seq):
+        seen.append(seq)
+        return replay(g, seq)
+
+    monkeypatch.setattr(recolour, "verify_moves", counted)
+    return seen
+
+
+# a_i ~ b_j iff j <= i: nested neighbourhoods, so bipartite and 2K2-free
+CHAIN = graph_from_edges(6, [(0, 3), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5)])
+# 3-chromatic and 2K2-free; this start goes through case 2(b) of canonical_moves
+CASE_2B = graph_from_edges(
+    8,
+    [(0, 2), (0, 3), (0, 5), (0, 6), (0, 7), (1, 2), (1, 3), (1, 4),
+     (1, 5), (1, 7), (2, 5), (2, 6), (3, 6), (4, 5), (4, 6), (4, 7)],
+)
+
+
+@pytest.mark.parametrize("g, beta, gamma, ell", [
+    (CHAIN, [1, 1, 0, 2, 2, 1], [2, 2, 2, 1, 0, 1], 3),
+    (cycle_graph(5), [0, 1, 0, 1, 2], [3, 2, 3, 0, 1], 4),
+    (CASE_2B, [2, 3, 1, 0, 2, 0, 3, 1], [2, 2, 0, 1, 0, 3, 3, 3], 4),
+    (cycle_graph(5), [0, 1, 0, 1, 2], [0, 1, 0, 1, 2], 4),
+], ids=["chain", "C5", "case-2b", "equal-ends"])
+def test_path_between_replays_once(replays, g, beta, gamma, ell):
+    assert find_induced(g, "2K2") is None
+    seq = path_between(g, colouring(beta, ell), colouring(gamma, ell), ell)
+    assert replays == [seq]
+    assert seq.end_colours() == gamma
+
+
+def test_rename_replays_once(replays):
+    seq = rename_moves(cycle_graph(5), colouring([0, 1, 0, 1, 2], 4), colouring([1, 2, 1, 2, 0], 4), 4)
+    assert replays == [seq]
+    assert seq.max_per_vertex() == 2  # a three-cycle of classes, so one class parks
+
+
+def test_public_stages_each_seal_once(replays):
+    g, ctx = c5_ctx()
+    outs = [
+        canonical_moves(ctx, colouring([3, 2, 3, 0, 1], 4), 4),
+        single_colour_part_moves(ctx, colouring([2, 0, 2, 3, 1], 4), 0, 4),  # fold-and-shift
+        single_colour_part_moves(ctx, colouring([3, 1, 3, 1, 0], 4), 0, 4),  # renaming
+    ]
+    chain_ctx = maximal_first_partition(CHAIN, 2)
+    outs.append(bipartite_canonical_moves(chain_ctx, colouring([1, 1, 0, 2, 2, 1], 3), 3))
+    assert all(len(seq) > 0 for seq in outs)
+    assert replays == outs
 
 
 # -- renaming ----------------------------------------------------------------------
