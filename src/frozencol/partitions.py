@@ -131,19 +131,19 @@ def _frozen(g: Graph, p: BlockPartition, noun: str) -> bool:
     A vertex can move to any class with no neighbour of it, and to any empty
     class, so frozen means: every block nonempty and every vertex has a
     neighbour in every block but its own. An improper p raises ValueError
-    naming the noun it fails to be.
+    naming the noun it fails to be, even when p is also not frozen.
     """
-    if not is_proper_colouring(g, p):
-        raise ValueError(f"not a {noun}")
+    _check_ground(g, p)
     masks = p.block_masks()
-    if any(m == 0 for m in masks):
-        return False
+    frozen = all(masks)
     for c, mask in enumerate(masks):
         for v in bits(mask):
-            for d, other in enumerate(masks):
-                if d != c and not g.rows[v] & other:
-                    return False
-    return True
+            row = g.rows[v]
+            if row & mask:
+                raise ValueError(f"not a {noun}")
+            if frozen:
+                frozen = all(row & other for d, other in enumerate(masks) if d != c)
+    return frozen
 
 
 def is_frozen_colouring(g: Graph, p: BlockPartition) -> bool:

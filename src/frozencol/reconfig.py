@@ -146,11 +146,29 @@ def reconfiguration_components(
 ) -> ReconfigReport:
     """Component structure of R_k(g) by union-find in one lex-ordered pass.
 
-    Each R_k edge is unioned once, from its later end, so DEFAULT_UNION_CAP
-    bounds the number of edges. Raises CapExceeded when a budget is crossed.
+    Each state X is unioned with a few of its lower neighbours (the states
+    its moves to a smaller colour reach), enough to join it to all of them.
+    Every R_k edge is still counted once, from its later end, so
+    DEFAULT_UNION_CAP bounds the number of edges. Raises CapExceeded when a
+    budget is crossed.
+
+    Why a few suffice: by induction on the walk, when X comes up, states
+    already walked are in one set iff R_k joins them through walked states.
+    Let Y and Y' be the targets of lower moves (u, c) and (u', c') of X.
+    If u = u', Y and Y' differ at u alone, so they are adjacent. Otherwise,
+    unless the moves clash (u ~ u' and c = c'), applying both to X gives a
+    proper colouring Z, smaller than Y and Y' and adjacent to each. Either
+    way the joining edges are lower edges of walked states, so Y and Y' are
+    already in one set. Take the first lower move b = (u0, c0). A move of
+    a colour other than c0 clashes neither with b nor with any move that
+    clashes with b, so if one exists, every lower neighbour is already in
+    the set of b's target, and one union suffices. If every lower move has
+    colour c0, X is also unioned with the targets of the moves that clash
+    with b (at c0 on a neighbour of u0); each other move joins b directly.
     """
     space = _Packing(g, k)
     union_cap = DEFAULT_UNION_CAP
+    ones, nbr_bits, width = space.ones, space.nbr_bits, space.width
     index: dict[int, int] = {}
     parent = array("i")  # parent[i] <= i, so each root is its tree's minimum
     unions = 0
@@ -162,7 +180,13 @@ def reconfiguration_components(
         index[code] = i = len(parent)
         parent.append(i)
         root = i
-        for t in space.targets(code, cols, lower):
+        need = lower & -lower
+        if need:
+            p = need.bit_length() - 1
+            c0 = p % width
+            if not lower & ~(ones << c0):  # every lower move has colour c0
+                need |= lower & (nbr_bits[p // width] << c0)
+        for t in space.targets(code, cols, need):
             j = index[t]
             while True:  # find with path halving
                 up = parent[j]

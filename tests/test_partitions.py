@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from frozencol.graph import (
     complement,
@@ -173,6 +173,54 @@ def test_frozen_duality(gp):
     else:
         with pytest.raises(ValueError):
             is_frozen_clique_partition(g, p)
+
+
+def _two_pass_frozen(g, p, noun):
+    """Reference: properness by is_proper_colouring, then frozen-ness from fresh masks."""
+    if not is_proper_colouring(g, p):
+        raise ValueError(f"not a {noun}")
+    masks = p.block_masks()
+    if any(m == 0 for m in masks):
+        return False
+    for c, mask in enumerate(masks):
+        for v in range(g.n):
+            if mask >> v & 1:
+                for d, other in enumerate(masks):
+                    if d != c and not g.rows[v] & other:
+                        return False
+    return True
+
+
+def _verdict(check, g, p, *noun):
+    try:
+        return check(g, p, *noun)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+@st.composite
+def maybe_multipartite(draw):
+    """A random graph and partition, often with every edge between blocks added.
+
+    The added edges make the partition frozen when no block is empty, so true
+    verdicts are drawn as well as false ones and improper partitions.
+    """
+    g, p = draw(graph_and_partition(max_k=6))
+    if draw(st.booleans()):
+        colours = p.to_colours()
+        cross = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if colours[u] != colours[v]]
+        g = graph_from_edges(g.n, set(g.edges()) | set(cross))
+    return g, p
+
+
+@given(maybe_multipartite())
+@settings(max_examples=400, deadline=None)
+def test_frozen_checkers_match_two_pass_reference(gp):
+    g, p = gp
+    assert _verdict(is_frozen_colouring, g, p) == _verdict(_two_pass_frozen, g, p,
+                                                           "proper colouring")
+    assert _verdict(is_frozen_clique_partition, g, p) == _verdict(
+        _two_pass_frozen, complement(g), p, "clique partition")
 
 
 def test_frozen_partition_has_no_bad_singleton():

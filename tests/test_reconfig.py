@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,7 @@ from frozencol.reconfig import (
     reconfiguration_components,
     reconfiguration_dot,
 )
+from frozencol.solvers import chromatic_number
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "reconfig.json").read_text())
@@ -145,6 +147,58 @@ def test_union_cap_counts_each_edge_once(monkeypatch):
     monkeypatch.setattr(reconfig, "DEFAULT_UNION_CAP", 23)
     with pytest.raises(CapExceeded, match="more than 23 union"):
         reconfiguration_components(cycle_graph(4), 3)
+
+
+def _every_edge_components(g, k, colouring_cap):
+    """Reference: union-find over every lower edge of the same lex-ordered walk."""
+    space = _Packing(g, k)
+    index, parent, frozen_vecs = {}, [], []
+
+    def find(j):
+        while parent[j] != j:
+            j = parent[j]
+        return j
+
+    for code, cols, moves, lower in space.walk(colouring_cap):
+        index[code] = i = len(parent)
+        parent.append(i)
+        for t in space.targets(code, cols, lower):
+            a, b = sorted((find(i), find(index[t])))
+            parent[b] = a
+        if not moves and len(set(cols)) == k:
+            frozen_vecs.append(tuple(cols))
+    sizes = Counter(find(i) for i in range(len(parent)))
+    return reconfig.ReconfigReport(
+        k=k,
+        colouring_count=len(parent),
+        component_count=len(sizes),
+        component_sizes=tuple(sorted(sizes.values(), reverse=True)),
+        frozen_colourings=tuple(BlockPartition.from_colours(v, k) for v in frozen_vecs),
+    )
+
+
+@given(st.integers(0, 10**9), st.integers(0, 8), st.sampled_from([0.2, 0.4, 0.6, 0.8, 0.9, 1.0]),
+       st.integers(-1, 3))
+@settings(max_examples=300, deadline=None)
+def test_components_match_every_edge_reference(seed, n, p, extra):
+    # k near the chromatic number draws R_k with many components; the state
+    # cap keeps the rest cheap, and both sides must raise on crossing it
+    g = random_graph(random.Random(seed), n, p)
+    k = min(max(chromatic_number(g)[0] + extra, 0), 6)
+    cap = 4000
+    try:
+        expected = _every_edge_components(g, k, cap).to_json()
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            reconfiguration_components(g, k, colouring_cap=cap)
+        return
+    assert reconfiguration_components(g, k, colouring_cap=cap).to_json() == expected
+
+
+def test_clashing_lower_moves_are_each_unioned():
+    # every lower move of a state of K_n has the spare colour, and they all clash
+    for n in range(2, 6):
+        assert reconfiguration_components(complete_graph(n), n + 1).component_count == 1
 
 
 def test_report_json_shape():
