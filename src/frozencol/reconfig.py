@@ -5,16 +5,19 @@ allowed) and an edge between colourings differing on exactly one vertex.
 Everything here runs on one engine, `_Packing.walk`: a single lexicographic
 pass in which the i-th state yielded is state i and all of its moves come
 as one packed bitmask. Moves to a lower colour reach states already seen,
-so union-find runs in the same pass and edges are never stored.
+so union-find runs in the same pass and edges are never stored. Codes
+grow in walk order, so the codes walked so far are sorted and a bisection
+over them maps a code back to its state index.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
-from .graph import Graph, require
+from .graph import CertificateError, Graph, require
 from .partitions import BlockPartition, is_frozen_colouring
 
 DEFAULT_COLOURING_CAP = 2 * 10**7
@@ -102,6 +105,14 @@ class _Packing:
             v += 1
             avail[v] = ~(s >> width * v) & full
 
+    def code_array(self):
+        """An empty store for state codes, appended in walk order.
+
+        array('q') (8 B a code) while every code, below k**n, fits in 63
+        bits, else a list; bisect and append work the same on both.
+        """
+        return array("q") if self.k**self.n <= 1 << 63 else []
+
     def targets(self, code: int, cols, mask: int) -> list[int]:
         """Codes of the states the moves in mask lead to, in bit order."""
         width, place = self.width, self.place
@@ -159,50 +170,71 @@ def reconfiguration_components(
     unless the moves clash (u ~ u' and c = c'), applying both to X gives a
     proper colouring Z, smaller than Y and Y' and adjacent to each. Either
     way the joining edges are lower edges of walked states, so Y and Y' are
-    already in one set. Take the first lower move b = (u0, c0). A move of
-    a colour other than c0 clashes neither with b nor with any move that
+    already in one set. Take any lower move b = (u0, c0). A move of a
+    colour other than c0 clashes neither with b nor with any move that
     clashes with b, so if one exists, every lower neighbour is already in
     the set of b's target, and one union suffices. If every lower move has
     colour c0, X is also unioned with the targets of the moves that clash
     with b (at c0 on a neighbour of u0); each other move joins b directly.
+    The pass takes the last lower move as b: it recolours the latest
+    vertex, so its target is the nearest in the walk.
+
+    A target's index comes from `codes`, the codes of the walked states in
+    walk order. Codes grow along the walk, so `codes` is sorted and
+    bisect_left finds a target of code t; a missing code raises
+    CertificateError. Codes are distinct integers, so a state whose code is
+    d below X's lies at most d places before X, which bounds the search.
+    `codes` is an array('q') of 8 B a state, or a plain list when k**n
+    passes 2**63 and a code may not fit in 63 bits.
     """
     space = _Packing(g, k)
     union_cap = DEFAULT_UNION_CAP
-    ones, nbr_bits, width = space.ones, space.nbr_bits, space.width
-    index: dict[int, int] = {}
+    ones, nbr_bits, width, place = space.ones, space.nbr_bits, space.width, space.place
+    codes = space.code_array()  # codes[i] is state i's code
     parent = array("i")  # parent[i] <= i, so each root is its tree's minimum
     unions = 0
     frozen_vecs = []
-    for code, cols, moves, lower in space.walk(colouring_cap):
+    for i, (code, cols, moves, lower) in enumerate(space.walk(colouring_cap)):
         unions += lower.bit_count()
         if unions > union_cap:
             raise CapExceeded(f"more than {union_cap} union operations")
-        index[code] = i = len(parent)
+        codes.append(code)
         parent.append(i)
-        root = i
-        need = lower & -lower
-        if need:
-            p = need.bit_length() - 1
+        if lower:
+            # b = (u0, c0), the last lower move, then the moves that clash with it
+            p = lower.bit_length() - 1
             c0 = p % width
+            clash = 0
             if not lower & ~(ones << c0):  # every lower move has colour c0
-                need |= lower & (nbr_bits[p // width] << c0)
-        for t in space.targets(code, cols, need):
-            j = index[t]
-            while True:  # find with path halving
-                up = parent[j]
-                if up == j:
+                clash = lower & (nbr_bits[p // width] << c0)
+            root = i
+            while True:  # move bit p recolours vertex u and lowers the code by d
+                u = p // width
+                d = place[u * width + cols[u]] - place[p]
+                t = code - d
+                j = bisect_left(codes, t, i - d if d < i else 0, i)
+                if codes[j] != t:  # codes[i] is X's own code, never t
+                    raise CertificateError(f"no walked state has code {t}")
+                while True:  # find with path halving
+                    up = parent[j]
+                    if up == j:
+                        break
+                    top = parent[up]
+                    if top == up:
+                        j = up
+                        break
+                    parent[j] = top
+                    j = top
+                if j < root:
+                    parent[root] = j
+                    root = j
+                elif j > root:
+                    parent[j] = root
+                if not clash:
                     break
-                top = parent[up]
-                if top == up:
-                    j = up
-                    break
-                parent[j] = top
-                j = top
-            if j < root:
-                parent[root] = j
-                root = j
-            elif j > root:
-                parent[j] = root
+                b = clash & -clash
+                clash ^= b
+                p = b.bit_length() - 1
         if not moves and len(set(cols)) == k:
             frozen_vecs.append(tuple(cols))
 
@@ -395,15 +427,20 @@ def find_frozen(g: Graph, k: int) -> BlockPartition | None:
 def reconfiguration_dot(g: Graph, k: int, cap: int = 10**4) -> str:
     """Render R_k(g) in DOT, nodes labelled by their colour vectors."""
     space = _Packing(g, k)
-    index: dict[int, int] = {}
+    codes = space.code_array()
     lines = ["graph reconfig {"]
     upper = []
     for code, cols, moves, lower in space.walk(cap):
-        index[code] = i = len(upper)
         label = " ".join(map(str, cols)) if cols else "()"
-        lines.append(f'  s{i} [label="{label}"];')
+        lines.append(f'  s{len(codes)} [label="{label}"];')
+        codes.append(code)
         upper.append(space.targets(code, cols, moves ^ lower))
+    n = len(codes)
     for i, targets in enumerate(upper):
-        lines.extend(f"  s{i} -- s{index[t]};" for t in targets)
+        for t in targets:
+            j = bisect_left(codes, t, i + 1)
+            if j == n or codes[j] != t:
+                raise CertificateError(f"no walked state has code {t}")
+            lines.append(f"  s{i} -- s{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

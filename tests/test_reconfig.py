@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -199,6 +200,32 @@ def test_clashing_lower_moves_are_each_unioned():
     # every lower move of a state of K_n has the spare colour, and they all clash
     for n in range(2, 6):
         assert reconfiguration_components(complete_graph(n), n + 1).component_count == 1
+
+
+def test_codes_above_63_bits_are_indexed():
+    # K_{9,8,8,8} with k = 4: codes run up to 4**33 > 2**63, past array('q');
+    # every part takes one colour, so the 24 states are all frozen
+    part = [0] * 9 + [1] * 8 + [2] * 8 + [3] * 8
+    g = graph_from_edges(33, [(u, v) for u, v in itertools.combinations(range(33), 2)
+                              if part[u] != part[v]])
+    rep = reconfiguration_components(g, 4)
+    assert rep.colouring_count == rep.component_count == len(rep.frozen_colourings) == 24
+    dot = reconfiguration_dot(g, 4)
+    assert dot.count("[label=") == 24 and " -- " not in dot
+
+
+def test_components_cost_at_most_24_bytes_per_state():
+    # the code index takes 8 B a state and the union-find 4 B; a dict index took ~120 B
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rep = reconfiguration_components(cycle_graph(8), 4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.colouring_count == 3**8 + 3
+    assert peak / rep.colouring_count <= 24
 
 
 def test_report_json_shape():
