@@ -3,7 +3,9 @@
 The same partition object serves as a colouring (blocks independent) or a
 clique partition (blocks complete); the two readings are complement-dual. The
 block order is significant and empty blocks are allowed, so a partition always
-carries its block count k explicitly.
+carries its block count k explicitly. It is stored packed, once, when it is
+built: the block of each vertex and one vertex mask per block. Every other
+form, the blocks as frozensets included, is read off those two.
 """
 
 from __future__ import annotations
@@ -16,22 +18,32 @@ from .graph import Graph, bits, complement
 class BlockPartition:
     """An ordered partition of {0..n-1} into k (possibly empty) blocks."""
 
-    __slots__ = ("k", "blocks", "ground")
+    __slots__ = ("k", "_cols", "_masks")
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
-        blks = tuple(frozenset(b) for b in blocks)
-        seen: set[int] = set()
-        total = 0
-        for i, b in enumerate(blks):
-            if b & seen:
+        masks, seen = [], 0
+        for i, b in enumerate(blocks):
+            mask = 0
+            for v in b:
+                if v < 0:
+                    raise ValueError("blocks must partition a contiguous range 0..n-1")
+                mask |= 1 << v
+            if mask & seen:
                 raise ValueError(f"block {i} overlaps an earlier block")
-            seen |= b
-            total += len(b)
-        if seen and (min(seen) < 0 or max(seen) != total - 1):
+            seen |= mask
+            masks.append(mask)
+        if seen & (seen + 1):
             raise ValueError("blocks must partition a contiguous range 0..n-1")
-        object.__setattr__(self, "k", len(blks))
-        object.__setattr__(self, "blocks", blks)
-        object.__setattr__(self, "ground", total)
+        cols = [0] * seen.bit_length()
+        for c, mask in enumerate(masks):
+            for v in bits(mask):
+                cols[v] = c
+        self._store(tuple(cols), tuple(masks))
+
+    def _store(self, cols: tuple[int, ...], masks: tuple[int, ...]) -> None:
+        object.__setattr__(self, "k", len(masks))
+        object.__setattr__(self, "_cols", cols)
+        object.__setattr__(self, "_masks", masks)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("BlockPartition is immutable")
@@ -39,18 +51,17 @@ class BlockPartition:
     @classmethod
     def from_colours(cls, colours: Sequence[int], k: int | None = None) -> "BlockPartition":
         """Build from a colour-per-vertex sequence; k defaults to max+1."""
+        cols = tuple(colours)
         if k is None:
-            k = max(colours) + 1 if colours else 0
-        blocks: list[list[int]] = [[] for _ in range(k)]
-        for v, c in enumerate(colours):
+            k = max(cols) + 1 if cols else 0
+        masks = [0] * k
+        for v, c in enumerate(cols):
             if not 0 <= c < k:
                 raise ValueError(f"colour {c} of vertex {v} outside 0..{k - 1}")
-            blocks[c].append(v)
+            masks[c] |= 1 << v
         # disjoint and covering 0..n-1 by construction: no need for __init__'s pass
         p = object.__new__(cls)
-        object.__setattr__(p, "k", k)
-        object.__setattr__(p, "blocks", tuple(map(frozenset, blocks)))
-        object.__setattr__(p, "ground", len(colours))
+        p._store(cols, tuple(masks))
         return p
 
     @classmethod
@@ -64,60 +75,59 @@ class BlockPartition:
             raise ValueError(f"k={data['k']} but {p.k} blocks given")
         return p
 
+    @property
+    def ground(self) -> int:
+        return len(self._cols)
+
+    @property
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(bits(mask)) for mask in self._masks)
+
     def to_colours(self) -> list[int]:
-        out = [-1] * self.ground
-        for c, b in enumerate(self.blocks):
-            for v in b:
-                out[v] = c
-        return out
+        return list(self._cols)
 
     def to_colour_line(self) -> str:
-        return " ".join(map(str, self.to_colours()))
+        return " ".join(map(str, self._cols))
 
     def to_json(self) -> dict:
-        return {"k": self.k, "blocks": [sorted(b) for b in self.blocks]}
+        return {"k": self.k, "blocks": [list(bits(mask)) for mask in self._masks]}
 
     def block_of(self, v: int) -> int:
-        for c, b in enumerate(self.blocks):
-            if v in b:
-                return c
-        raise ValueError(f"vertex {v} not in partition")
+        if not 0 <= v < len(self._cols):
+            raise ValueError(f"vertex {v} not in partition")
+        return self._cols[v]
 
     def block_masks(self) -> list[int]:
-        out = []
-        for b in self.blocks:
-            mask = 0
-            for v in b:
-                mask |= 1 << v
-            out.append(mask)
-        return out
+        return list(self._masks)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BlockPartition):
             return NotImplemented
-        return self.blocks == other.blocks
+        # the blocks cover 0..n-1, so equal colour vectors mean equal blocks
+        return self.k == other.k and self._cols == other._cols
 
     def __hash__(self) -> int:
-        return hash(self.blocks)
+        return hash((self.k, self._cols))
 
     def __repr__(self) -> str:
-        inner = ", ".join("{" + ",".join(map(str, sorted(b))) + "}" for b in self.blocks)
+        inner = ", ".join("{" + ",".join(map(str, bits(mask))) + "}" for mask in self._masks)
         return f"BlockPartition({inner})"
 
 
-def _check_ground(g: Graph, p: BlockPartition) -> None:
+def _proper(g: Graph, p: BlockPartition) -> bool:
+    """One pass: no vertex's row meets the mask of its own block."""
     if p.ground != g.n:
         raise ValueError(f"partition covers {p.ground} vertices, graph has {g.n}")
+    masks = p._masks
+    for row, c in zip(g.rows, p._cols):
+        if row & masks[c]:
+            return False
+    return True
 
 
 def is_proper_colouring(g: Graph, p: BlockPartition) -> bool:
     """True iff every block is an independent set of g."""
-    _check_ground(g, p)
-    for mask in p.block_masks():
-        for v in bits(mask):
-            if g.rows[v] & mask:
-                return False
-    return True
+    return _proper(g, p)
 
 
 def is_clique_partition(g: Graph, p: BlockPartition) -> bool:
@@ -133,17 +143,16 @@ def _frozen(g: Graph, p: BlockPartition, noun: str) -> bool:
     neighbour in every block but its own. An improper p raises ValueError
     naming the noun it fails to be, even when p is also not frozen.
     """
-    _check_ground(g, p)
-    masks = p.block_masks()
-    frozen = all(masks)
-    for c, mask in enumerate(masks):
-        for v in bits(mask):
-            row = g.rows[v]
-            if row & mask:
-                raise ValueError(f"not a {noun}")
-            if frozen:
-                frozen = all(row & other for d, other in enumerate(masks) if d != c)
-    return frozen
+    if not _proper(g, p):
+        raise ValueError(f"not a {noun}")
+    masks = p._masks
+    if not all(masks):
+        return False
+    for row, c in zip(g.rows, p._cols):
+        for d, mask in enumerate(masks):
+            if d != c and not row & mask:
+                return False
+    return True
 
 
 def is_frozen_colouring(g: Graph, p: BlockPartition) -> bool:

@@ -33,11 +33,6 @@ def _two_k2(g: Graph):
     return find_induced(g, "2K2")
 
 
-@lru_cache(maxsize=65536)
-def _neighbours(g: Graph) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(g.neighbour_list(v)) for v in range(g.n))
-
-
 @dataclass(frozen=True)
 class MoveSequence:
     """A walk in R_ell(g): start colouring plus (vertex, new colour) steps."""
@@ -94,68 +89,69 @@ def verify_moves(g: Graph, seq: MoveSequence) -> MoveStats:
     """Replay a sequence, rejecting the first improper or no-op move.
 
     failure_index is -1 when the start itself is rejected, otherwise the
-    index of the offending move. The replay keeps one vertex mask per
-    colour, so a move is proper iff its vertex's row misses the mask of its
-    new colour.
+    index of the offending move. The replay runs on a _Recorder, which
+    decides whether each move is legal.
     """
-    n, ell, rows = g.n, seq.ell, g.rows
-    counts = [0] * n
-
-    def fail(index):
-        return MoveStats(False, index, len(seq.moves), tuple(counts), max(counts, default=0), None)
-
-    if seq.start.ground != n or seq.start.k != ell:
-        return fail(-1)
-    cols = seq.start.to_colours()
-    masks = seq.start.block_masks()
-    if any(rows[v] & masks[c] for v, c in enumerate(cols)):
-        return fail(-1)
-    for i, (v, c) in enumerate(seq.moves):
-        if not (0 <= v < n and 0 <= c < ell):
-            return fail(i)
-        old = cols[v]
-        if old == c or rows[v] & masks[c]:
-            return fail(i)
-        masks[old] ^= 1 << v
-        masks[c] |= 1 << v
-        cols[v] = c
-        counts[v] += 1
-    end = BlockPartition.from_colours(cols, ell)
-    return MoveStats(True, None, len(seq.moves), tuple(counts), max(counts, default=0), end)
+    start, ell = seq.start, seq.ell
+    if start.ground != g.n or start.k != ell or not is_proper_colouring(g, start):
+        return MoveStats(False, -1, len(seq.moves), (0,) * g.n, 0, None)
+    rec = _Recorder(g, start, ell)
+    failure = next((i for i, (v, c) in enumerate(seq.moves) if not rec.step(v, c)), None)
+    counts = rec.counts()
+    end = None if failure is not None else BlockPartition.from_colours(rec.cols, ell)
+    return MoveStats(failure is None, failure, len(seq.moves), tuple(counts),
+                     max(counts, default=0), end)
 
 
 class _Recorder:
-    """Accumulates moves while tracking the current colour vector.
+    """Accumulates moves while tracking the current colouring.
 
-    Every move is checked as it is made. Each stage builder appends to a
-    shared recorder and checks its own stage with check_stage, so a walk
-    composed of several stages is replayed only once, by its final seal.
+    It keeps the colour of each vertex and one vertex mask per colour, and
+    is the one place that decides whether a move is legal. Each stage
+    builder appends to a shared recorder and checks its own stage with
+    check_stage, so a walk composed of several stages is replayed only
+    once, by its final seal.
     """
 
     def __init__(self, g: Graph, start: BlockPartition, ell: int):
-        self.nbrs = _neighbours(g)
+        self.rows = g.rows
         self.ell = ell
         self.cols = start.to_colours()
+        self.masks = start.block_masks()
         self.moves: list[tuple[int, int]] = []
 
-    def move(self, v: int, c: int) -> None:
-        if self.cols[v] == c:
-            return
-        if not 0 <= c < self.ell:
-            raise CertificateError(f"move {v}->{c} leaves the {self.ell} colours")
-        for u in self.nbrs[v]:
-            if self.cols[u] == c:
-                raise CertificateError(f"move {v}->{c} conflicts with {u}")
-        self.moves.append((v, c))
+    def free(self, v: int, c: int) -> bool:
+        """True iff no neighbour of v has colour c."""
+        return not self.rows[v] & self.masks[c]
+
+    def step(self, v: int, c: int) -> bool:
+        """Make the move v -> c if it is legal, and say whether it was: v is
+        a vertex, c one of the ell colours other than v's, and v free for c."""
+        if not (0 <= v < len(self.cols) and 0 <= c < self.ell and self.cols[v] != c
+                and self.free(v, c)):
+            return False
+        self.masks[self.cols[v]] ^= 1 << v
+        self.masks[c] |= 1 << v
         self.cols[v] = c
+        self.moves.append((v, c))
+        return True
+
+    def move(self, v: int, c: int) -> None:
+        """A stage's move: skipped when v already has colour c, else it must be legal."""
+        if self.cols[v] != c and not self.step(v, c):
+            raise CertificateError(f"move {v}->{c} is improper or leaves the {self.ell} colours")
+
+    def counts(self, mark: int = 0) -> list[int]:
+        """How often each vertex moved since move mark."""
+        counts = [0] * len(self.cols)
+        for v, _ in self.moves[mark:]:
+            counts[v] += 1
+        return counts
 
     def check_stage(self, mark: int, bound: int, end: list[int]) -> None:
         """Check one stage: since move mark, no vertex moved more than bound
         times, and the colouring is now end."""
-        counts = [0] * len(self.cols)
-        for v, _ in self.moves[mark:]:
-            counts[v] += 1
-        require(max(counts, default=0) <= bound,
+        require(max(self.counts(mark), default=0) <= bound,
                 f"a vertex moved beyond the stage bound {bound}")
         require(self.cols == end, "stage ends off its target colouring")
 
@@ -248,13 +244,13 @@ def maximal_first_partition(g: Graph, parts_needed: int) -> CanonicalContext:
     chi, witness = _chi(g)
     if chi > parts_needed:
         raise ValueError(f"chromatic number {chi} exceeds {parts_needed}")
-    blocks = list(witness.blocks) + [frozenset()] * (parts_needed - chi)
-    first = set(blocks[0])
+    masks = witness.block_masks() + [0] * (parts_needed - chi)
+    first = masks[0]
     for v in range(g.n):
-        if v not in first and not any(g.has_edge(v, u) for u in first):
-            first.add(v)
-    first = frozenset(first)
-    return CanonicalContext(g, (first,) + tuple(b - first for b in blocks[1:]))
+        if not g.rows[v] & first:
+            first |= 1 << v
+    parts = [first] + [m & ~first for m in masks[1:]]
+    return CanonicalContext(g, tuple(frozenset(bits(m)) for m in parts))
 
 
 def complete_vertex(ctx: CanonicalContext, j: int) -> int:
@@ -326,8 +322,7 @@ def _rename(rec: _Recorder, target: list[int]) -> None:
         while c != c1:
             cycle.append(c)
             c = succ[c]
-        occupied = set(rec.cols)
-        spare = next(s for s in range(ell) if s not in occupied)
+        spare = next(s for s in range(ell) if not rec.masks[s])
         last = cycle[-1]
         shift(last, spare)
         for b, t in zip(reversed(cycle[:-1]), reversed(cycle[1:])):
@@ -501,7 +496,7 @@ def _canonical(ctx: CanonicalContext, rec: _Recorder) -> list[int]:
     x2 = complete_vertex(ctx, 1)
     x3 = complete_vertex(ctx, 2)
     mark = len(rec.moves)
-    nbrs = rec.nbrs
+    part_masks = [sum(1 << v for v in part) for part in ctx.parts]
 
     def finish(part_index: int) -> list[int]:
         _single_colour_part(ctx, rec, part_index)
@@ -514,12 +509,10 @@ def _canonical(ctx: CanonicalContext, rec: _Recorder) -> list[int]:
         return target
 
     # a vertex adjacent to everything outside its part: monochrome that part
-    outside_masks = [
-        sum(1 << v for v in range(g.n) if v not in part) for part in ctx.parts
-    ]
     for t, part in enumerate(ctx.parts):
+        outside = ((1 << g.n) - 1) ^ part_masks[t]
         for x in sorted(part):
-            if g.rows[x] & outside_masks[t] == outside_masks[t]:
+            if g.rows[x] & outside == outside:
                 for v in sorted(part):
                     rec.move(v, rec.cols[x])
                 return finish(t)
@@ -534,28 +527,25 @@ def _canonical(ctx: CanonicalContext, rec: _Recorder) -> list[int]:
             rec.move(v, c1)
         return finish(0)
 
-    def none_coloured(vertices, colour) -> bool:
-        return all(rec.cols[u] != colour for u in vertices)
-
     # stage the anchor colours: as many of A_2 to c2, A_3 to c1, A_1 to either
     for v in sorted(ctx.parts[1]):
-        if rec.cols[v] != c2 and none_coloured(nbrs[v], c2):
+        if rec.free(v, c2):
             rec.move(v, c2)
     for v in sorted(ctx.parts[2]):
-        if rec.cols[v] != c1 and none_coloured(nbrs[v], c1):
+        if rec.free(v, c1):
             rec.move(v, c1)
     for v in sorted(ctx.parts[0]):
         if rec.cols[v] not in (c1, c2):
-            if none_coloured(nbrs[v], c1):
+            if rec.free(v, c1):
                 rec.move(v, c1)
-            elif none_coloured(nbrs[v], c2):
+            elif rec.free(v, c2):
                 rec.move(v, c2)
 
     # case 1: a first-part vertex kept a colour that now appears only there
     for x in sorted(ctx.parts[0]):
         if rec.cols[x] not in (c1, c2):
             c = rec.cols[x]
-            require(none_coloured(set(range(g.n)) - ctx.parts[0], c),
+            require(not rec.masks[c] & ~part_masks[0],
                     "staged colour appears outside the first part")
             for v in sorted(ctx.parts[0]):
                 rec.move(v, c)
@@ -566,28 +556,22 @@ def _canonical(ctx: CanonicalContext, rec: _Recorder) -> list[int]:
     # case 2(a): some non-anchor colour is absent from a later part
     for t in (1, 2):
         for c in others:
-            if none_coloured(ctx.parts[t], c):
+            if not rec.masks[c] & part_masks[t]:
                 other = 3 - t
                 for v in sorted(ctx.parts[other]):
                     rec.move(v, c)
                 return finish(other)
 
     # case 2(b): both smallest non-anchor colours appear on both later parts
+    def blocked(c: int, cp: int) -> bool:  # a cp-coloured A_2 vertex sees colour c
+        return not all(rec.free(v, c) for v in bits(rec.masks[cp] & part_masks[1]))
+
     c, cp = others[0], others[1]
-    blocked = any(
-        rec.cols[v] == cp and any(rec.cols[u] == c for u in nbrs[v])
-        for v in ctx.parts[1]
-    )
-    if blocked:
+    if blocked(c, cp):
         c, cp = cp, c
-    swap_blocked = any(
-        rec.cols[v] == cp and any(rec.cols[u] == c for u in nbrs[v])
-        for v in ctx.parts[1]
-    )
-    require(not swap_blocked, "both orientations blocked: induced 2K2 present")
-    for v in sorted(ctx.parts[1]):
-        if rec.cols[v] == cp:
-            rec.move(v, c)
+    require(not blocked(c, cp), "both orientations blocked: induced 2K2 present")
+    for v in bits(rec.masks[cp] & part_masks[1]):
+        rec.move(v, c)
     for v in sorted(ctx.parts[2]):
         rec.move(v, cp)
     return finish(2)

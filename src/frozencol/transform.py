@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .graph import Graph, find_induced, is_diamond_middle_edge, require
+from .graph import Graph, bits, find_induced, is_diamond_middle_edge, require
 from .partitions import BlockPartition, is_clique_partition, is_frozen_clique_partition
 from .solvers import clique_cover_number
 
@@ -49,9 +49,10 @@ def subdivide_edge(h: Graph, x: int, y: int) -> Graph:
 def _detect_case(f: BlockPartition, x: int, y: int) -> int:
     fx, fy = f.block_of(x), f.block_of(y)
     if fx == fy:
-        if f.blocks[fx] != frozenset((x, y)):
+        block = f.block_masks()[fx]
+        if block != 1 << x | 1 << y:
             raise ValueError(
-                f"x and y share frozen block {sorted(f.blocks[fx])}; neither case applies"
+                f"x and y share frozen block {list(bits(block))}; neither case applies"
             )
         return 2
     return 1
@@ -90,7 +91,7 @@ def subdivide_with_certificates(
     if case_used == 1:
         f_out = BlockPartition(list(f.blocks) + [{u, v}])
     else:
-        kept = [b for b in f.blocks if b != frozenset((x, y))]
+        kept = [bits(b) for b in f.block_masks() if b != 1 << x | 1 << y]
         f_out = BlockPartition(kept + [{x, u}, {v, y}])
     require(q_out.k == q.k + 1 and f_out.k == f.k + 1, "transport did not add one block")
     require(is_clique_partition(out, q_out), "transported q certificate failed verification")

@@ -501,7 +501,7 @@ plain = R._Recorder.move
 def detour(self, v, c):  # reaches c by way of another free colour
     if self.cols[v] != c:
         for d in range(self.ell):
-            if d not in (c, self.cols[v]) and all(self.cols[u] != d for u in self.nbrs[v]):
+            if d not in (c, self.cols[v]) and self.free(v, d):
                 plain(self, v, d)
                 break
     plain(self, v, c)

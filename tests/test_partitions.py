@@ -78,6 +78,23 @@ def test_colour_roundtrips():
         BlockPartition.from_colours([0, 5], k=2)
 
 
+@given(st.lists(st.integers(0, 4), max_size=9), st.integers(0, 2))
+def test_both_constructors_store_the_same_partition(colours, spare):
+    n, k = len(colours), max(colours, default=-1) + 1 + spare
+    blocks = [[v for v in range(n) if colours[v] == c] for c in range(k)]
+    a, b = BlockPartition(blocks), BlockPartition.from_colours(colours, k)
+    assert a == b and hash(a) == hash(b)
+    assert a.blocks == b.blocks == tuple(map(frozenset, blocks))
+    assert a.to_json() == b.to_json() == {"k": k, "blocks": blocks}
+    assert a.to_colour_line() == b.to_colour_line() == " ".join(map(str, colours))
+    assert a.block_masks() == b.block_masks() == [sum(1 << v for v in blk) for blk in blocks]
+    assert [a.block_of(v) for v in range(n)] == [b.block_of(v) for v in range(n)] == colours
+    for p in (a, b):
+        for v in (-1, n):
+            with pytest.raises(ValueError):
+                p.block_of(v)
+
+
 def test_json_roundtrip():
     p = BlockPartition([{0, 2}, set(), {1}])
     data = p.to_json()
