@@ -4,10 +4,11 @@ R_k(G) has one vertex per proper k-colouring (ordered blocks, empty blocks
 allowed) and an edge between colourings differing on exactly one vertex.
 Everything here runs on one engine, `_Packing.walk`: a single lexicographic
 pass in which the i-th state yielded is state i and all of its moves come
-as one packed bitmask. Moves to a lower colour reach states already seen,
-so union-find runs in the same pass and edges are never stored. Codes
-grow in walk order, so the codes walked so far are sorted and a bisection
-over them maps a code back to its state index.
+as one packed bitmask. It walks every state, or one per orbit under colour
+permutations. Edges are never stored: union-find runs in the same pass,
+over the states already seen. Codes grow in walk order, so the codes
+walked so far are sorted and a bisection over them maps a code back to its
+state index.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import permutations
 
 from .graph import CertificateError, Graph, require
 from .partitions import BlockPartition, is_frozen_colouring
@@ -51,30 +53,37 @@ class _Packing:
         # the place value in a code of the colour at bit p of a move mask
         self.place = [p % width * self.weight[p // width] for p in range(n * width)]
 
-    def walk(self, cap: int = DEFAULT_COLOURING_CAP):
+    def walk(self, cap: int = DEFAULT_COLOURING_CAP, orbits: bool = False):
         """Yield (code, cols, moves, lower) per proper colouring, in lex order.
 
         cols is one list, overwritten between yields; lower keeps the moves
-        to a smaller colour, which lead to states yielded earlier.
+        to a smaller colour, which lead to states yielded earlier. With
+        orbits, only the restricted-growth colourings come, those whose
+        colours first appear in the order 0, 1, 2, ...: a vertex may take
+        at most one colour above those before it. Each is the lex-least
+        member of its orbit under colour permutations, and each comes with a
+        fifth item, `used`, the number of colours it uses.
         """
         n, width, full, ones = self.n, self.width, (1 << self.k) - 1, self.ones
         if n == 0:
-            yield 0, [], 0, 0
+            yield (0, [], 0, 0, 0) if orbits else (0, [], 0, 0)
             return
         nbr_bits, weight = self.nbr_bits, self.weight
         everything, guards = full * ones, ones << self.k
+        # the colours open to a vertex when those before it use 0..u-1
+        grow = [(2 << u) - 1 & full if orbits else full for u in range(self.k + 1)]
         last = n - 1
         shift_last, bits_last = width * last, nbr_bits[last]
         cols = [0] * n
-        # S, C and the code of the colours fixed above each depth
-        seen, onehot, prefix = [0] * n, [0] * n, [0] * n
-        avail = [full] + [0] * last
+        # S, C, the code of the colours fixed and 1 + their largest colour, above each depth
+        seen, onehot, prefix, used = [0] * n, [0] * n, [0] * n, [0] * n
+        avail = [grow[0]] + [0] * last
         count = 0
         v = 0
         while v >= 0:
             if v == last:
-                s0, c0, x0 = seen[v], onehot[v], prefix[v]
-                a = ~(s0 >> shift_last) & full
+                s0, c0, x0, u0 = seen[v], onehot[v], prefix[v], used[v]
+                a = ~(s0 >> shift_last) & grow[u0]
                 while a:
                     b = a & -a
                     a ^= b
@@ -85,7 +94,10 @@ class _Packing:
                     cols[last] = c
                     col = c0 | b << shift_last
                     moves = everything & ~(s0 | bits_last << c | col)
-                    yield x0 + c, cols, moves, moves & (col - ones)
+                    if orbits:
+                        yield x0 + c, cols, moves, moves & (col - ones), u0 + (c == u0)
+                    else:
+                        yield x0 + c, cols, moves, moves & (col - ones)
                 v -= 1
                 continue
             a = avail[v]
@@ -102,8 +114,10 @@ class _Packing:
             seen[v + 1] = s
             onehot[v + 1] = onehot[v] | b << width * v
             prefix[v + 1] = prefix[v] + c * weight[v]
+            u = used[v]
+            used[v + 1] = u if c < u else c + 1
             v += 1
-            avail[v] = ~(s >> width * v) & full
+            avail[v] = ~(s >> width * v) & grow[used[v]]
 
     def code_array(self):
         """An empty store for state codes, appended in walk order.
@@ -152,103 +166,355 @@ class ReconfigReport:
         }
 
 
+def _compose(p: tuple, q: tuple) -> tuple:
+    """The permutation p∘q (q first), each a tuple of images."""
+    return tuple(p[x] for x in q)
+
+
+def _inverse(p: tuple) -> tuple:
+    out = [0] * len(p)
+    for x, y in enumerate(p):
+        out[y] = x
+    return tuple(out)
+
+
+def _group_order(gens, k: int) -> int:
+    """The order of the group that the permutations gens generate on range(k).
+
+    Deterministic Schreier–Sims (Seress, *Permutation Group Algorithms*,
+    CUP 2003): a base b_0, b_1, ... and strong generators, level i keeping
+    the orbit of b_i, with a transversal, under the strong generators that
+    fix b_0..b_{i-1}. Levels are completed from the deepest up: every
+    Schreier generator of a level must sift to the identity through the
+    levels below it. One that does not becomes a strong generator, and the
+    levels it joins are checked again. The order is the product of the
+    orbit lengths.
+    """
+    identity = tuple(range(k))
+    base, strong, levels = [], [], []  # levels[i]: (generators, transversal)
+
+    def add(h, j):
+        strong.append(h)
+        if j == len(base):
+            base.append(next(x for x in range(k) if h[x] != x))
+        levels.clear()
+        for i, b in enumerate(base):
+            gens_i = [s for s in strong if all(s[x] == x for x in base[:i])]
+            tr = {b: identity}
+            queue = [b]
+            for p in queue:
+                for s in gens_i:
+                    q = s[p]
+                    if q not in tr:
+                        tr[q] = _compose(s, tr[p])
+                        queue.append(q)
+            levels.append((gens_i, tr))
+
+    def sift(h, i):
+        """h divided by transversal elements of levels i, i+1, ..., and where it stopped."""
+        for j in range(i, len(base)):
+            tr = levels[j][1]
+            x = h[base[j]]
+            if x not in tr:
+                return h, j
+            h = _compose(_inverse(tr[x]), h)
+        return h, len(base)
+
+    for h in gens:
+        h, j = sift(h, 0)
+        if h != identity:
+            add(h, j)
+    i = len(base) - 1
+    while i >= 0:
+        gens_i, tr = levels[i]
+        schreier = (sift(_compose(_inverse(tr[s[p]]), _compose(s, u)), i + 1)
+                    for p, u in tr.items() for s in gens_i)
+        stuck = next((r for r in schreier if r[0] != identity), None)
+        if stuck is None:
+            i -= 1
+        else:  # levels i+1..j change; those below j stay complete
+            add(*stuck)
+            i = stuck[1]
+    order = 1
+    for _, tr in levels:
+        order *= len(tr)
+    return order
+
+
 def reconfiguration_components(
     g: Graph, k: int, colouring_cap: int = DEFAULT_COLOURING_CAP
 ) -> ReconfigReport:
-    """Component structure of R_k(g) by union-find in one lex-ordered pass.
+    """Component structure of R_k(g), walking one colouring per colour orbit.
 
-    Each state X is unioned with a few of its lower neighbours (the states
-    its moves to a smaller colour reach), enough to join it to all of them.
-    Every R_k edge is still counted once, from its later end, so
-    DEFAULT_UNION_CAP bounds the number of edges. Raises CapExceeded when a
-    budget is crossed.
+    Permuting the k colours maps R_k onto itself. So the pass walks only the
+    restricted-growth colourings (`_Packing.walk` with orbits), in lex
+    order. Each, X, is the lex-least member of its orbit and stands for the
+    k!/(k-m)! states sigma(X), where X uses m colours. A union-find over
+    these representatives joins X to the representative Y* of a chosen set
+    of its neighbours Y = sigma(Y*). The components of R_k are then lifted
+    from the sets. Raises CapExceeded when a budget is crossed. The state
+    cap is compared with the running sum of orbit sizes. The union cap is
+    compared, against twice its value, with the running sum of orbit size
+    times move count; every state of an orbit has as many moves, so that
+    sum ends at 2|E(R_k)|. The verdicts are those of a walk over every
+    state that counts each edge once.
 
-    Why a few suffice: by induction on the walk, when X comes up, states
-    already walked are in one set iff R_k joins them through walked states.
-    Let Y and Y' be the targets of lower moves (u, c) and (u', c') of X.
-    If u = u', Y and Y' differ at u alone, so they are adjacent. Otherwise,
-    unless the moves clash (u ~ u' and c = c'), applying both to X gives a
-    proper colouring Z, smaller than Y and Y' and adjacent to each. Either
-    way the joining edges are lower edges of walked states, so Y and Y' are
-    already in one set. Take any lower move b = (u0, c0). A move of a
-    colour other than c0 clashes neither with b nor with any move that
-    clashes with b, so if one exists, every lower neighbour is already in
-    the set of b's target, and one union suffices. If every lower move has
-    colour c0, X is also unioned with the targets of the moves that clash
-    with b (at c0 on a neighbour of u0); each other move joins b directly.
-    The pass takes the last lower move as b: it recolours the latest
-    vertex, so its target is the nearest in the walk.
+    Renaming. Let u be the first vertex of colour a in X and u' the next
+    vertex of colour a (n when there is none), and let t be the largest
+    colour that first appears before u'. A move at a vertex that is not a
+    first vertex keeps every first appearance, so its target is
+    restricted-growth. A move (u, c) moves a's first appearance to u' and,
+    when c > a, c's to u. Its target is renamed by pi: a -> t, c -> a when
+    c > a, and each colour from max(a, c) + 1 to t one down. The renamed
+    code follows from the class weights, the sums of the place values of
+    each colour's vertices.
 
-    A target's index comes from `codes`, the codes of the walked states in
-    walk order. Codes grow along the walk, so `codes` is sorted and
+    Edges. By induction over the walk, the sets hold the components of R_k
+    restricted to the orbits walked so far, once lifted. For that, each X
+    must be joined to every neighbour in an orbit walked at or before X's;
+    the images of those edges under the colour permutations then join every
+    state of X's orbit. The pass takes some of these edges and shows the
+    others add nothing: each other neighbour is already joined, through
+    walked orbits, to a taken one. All states below X lie in walked orbits.
+
+    - Lower moves (to a smaller colour) reach states below X. Let Y and Y'
+      be the targets of lower moves (u, c) and (u', c'). If u = u', they
+      are adjacent. Otherwise, unless the moves clash (u ~ u' and c = c'),
+      applying both to X gives a proper colouring Z below both and adjacent
+      to each. Take the last lower move b = (u0, c0); it recolours the
+      latest vertex, so its target is the nearest in the walk. A move of a
+      colour other than c0 clashes neither with b nor with any move that
+      clashes with b. So if one exists, b's target joins every lower
+      neighbour. If every lower move has colour c0, the moves that clash
+      with b (c0 on a neighbour of u0) are taken too, and each other move
+      joins b directly.
+    - An upper move at a vertex that is not a first vertex keeps the colours
+      before it and raises its own, so its target's orbit comes after X's.
+      That edge is taken from the later orbit.
+    - An upper move (u, c) at the first vertex u of a reaches an earlier
+      orbit iff a < c <= t. Then its renamed target agrees with X before
+      c's first vertex f_c and has a there, below c. To an unused colour, or to
+      one first appearing after u', the renamed target lies above X. It is
+      X itself when a fills one vertex and c is unused, and that loop's
+      sigma, the transposition (a c), is in the stabiliser the lemma below
+      already gives.
+    - Of the moves at u with a < c <= t, one is taken, of the least c: their
+      targets are adjacent to each other, and to the target of a lower move
+      at u, so none is taken when u has one. None is taken either when some
+      such c has f_c < u0 and (u, c) does not clash with b. Applying both
+      moves to X gives Z, adjacent to both targets. Renamed, Z agrees with
+      (u, c)'s renamed target up to f_c, so Z's orbit also comes before X's.
+
+    Lemma: a component K of R_k that holds a colouring X with an unused
+    colour e is mapped onto itself by every colour permutation.
+    Recolouring the class of a colour a to e one vertex at a time is a walk
+    in R_k, so (a e)X lies in K, and (a e) fixes K. These transpositions,
+    with those of two unused colours (which fix X), generate S_k. So a set
+    that holds a representative using fewer than k colours is full. It
+    lifts to one component, of all its orbits' states, and does no
+    permutation work.
+
+    Lifting the other sets. In a set whose representatives all use k
+    colours, no permutation fixes a state. So each state of its orbits has
+    exactly one name sigma(X). Each node keeps the permutation to its
+    parent; composing them to the root gives phi_X, with phi_X(X) in K, the
+    component of the root's own colouring. An edge from X to sigma(Y) that
+    joins two sets hangs one root below the other, with the permutation
+    that makes phi_X sigma the position of Y. An edge within a set closes a
+    cycle, and phi_X sigma phi_Y^-1 maps K onto itself. These cycle
+    elements, each conjugated by the position of the root it was found
+    under, generate the stabiliser Stab(K). A set whose orbit sizes sum to
+    S lifts to r = k!/|Stab(K)| components, the images of K, each of S/r
+    states. `_group_order` gives |Stab(K)| by Schreier–Sims.
+
+    A frozen colouring uses all k colours and has no moves. So each frozen
+    representative is a set of its own with a trivial stabiliser: k!
+    singleton components. Its k! colour vectors are expanded, sorted into
+    the order of a walk over every state and re-checked one by one.
+
+    A target's index comes from `codes`, the codes of the representatives
+    in walk order. Codes grow along the walk, so `codes` is sorted and
     bisect_left finds a target of code t; a missing code raises
-    CertificateError. Codes are distinct integers, so a state whose code is
-    d below X's lies at most d places before X, which bounds the search.
-    `codes` is an array('q') of 8 B a state, or a plain list when k**n
-    passes 2**63 and a code may not fit in 63 bits.
+    CertificateError. Codes are distinct integers, so a representative
+    whose code is d below X's lies at most d places before X, which bounds
+    the search. `codes` is an array('q') of 8 B a representative, or a
+    plain list when k**n passes 2**63 and a code may not fit in 63 bits.
     """
     space = _Packing(g, k)
     union_cap = DEFAULT_UNION_CAP
-    ones, nbr_bits, width, place = space.ones, space.nbr_bits, space.width, space.place
-    codes = space.code_array()  # codes[i] is state i's code
+    n, ones, nbr_bits, width = g.n, space.ones, space.nbr_bits, space.width
+    place, weight = space.place, space.weight
+    identity = tuple(range(k))
+    palette = list(identity)
+    orbit = [1]  # orbit[m]: the states a representative using m colours stands for
+    for m in range(min(n, k)):
+        orbit.append(orbit[-1] * (k - m))
+    codes = space.code_array()  # codes[i] is representative i's code
     parent = array("i")  # parent[i] <= i, so each root is its tree's minimum
-    unions = 0
-    frozen_vecs = []
-    for i, (code, cols, moves, lower) in enumerate(space.walk(colouring_cap)):
-        unions += lower.bit_count()
-        if unions > union_cap:
+    used_of = array("B" if len(orbit) <= 256 else "q")  # colours representative i uses
+    labelled = set()  # the roots of sets whose representatives all use k colours
+    # in those sets, node -> the permutation from its frame to its parent's;
+    # entries left in a set that turns full are never read again
+    label = {}
+    voltages = {}  # root -> stabiliser elements found in its frame
+    frozen_reps = []
+    states = degrees = 0
+
+    def find(j: int) -> int:
+        """j's root; j's path is compressed unless its set is labelled."""
+        r = j
+        while parent[r] != r:
+            r = parent[r]
+        if r not in labelled:
+            while parent[j] != r:
+                parent[j], j = r, parent[j]
+        return r
+
+    def locate(j: int) -> tuple[int, tuple]:
+        """(root, phi_j) for j in a labelled set, compressing j's path."""
+        path = []
+        while parent[j] != j:
+            path.append(j)
+            j = parent[j]
+        phi = identity
+        for z in reversed(path):
+            phi = _compose(phi, label[z])
+            parent[z], label[z] = j, phi
+        return j, phi
+
+    for i, (code, cols, moves, lower, used) in enumerate(space.walk(colouring_cap, orbits=True)):
+        size = orbit[used]
+        states += size
+        if states > colouring_cap:
+            raise CapExceeded(f"more than {colouring_cap} proper colourings")
+        degrees += size * moves.bit_count()
+        if degrees > 2 * union_cap:
             raise CapExceeded(f"more than {union_cap} union operations")
         codes.append(code)
         parent.append(i)
+        used_of.append(used)
+        surjective = used == k
+        if surjective and not moves:
+            frozen_reps.append(tuple(cols))
+        picks = []
+        u0 = c0 = -1  # the last lower move, b = (u0, c0), if there is one
         if lower:
-            # b = (u0, c0), the last lower move, then the moves that clash with it
+            # b, then the moves that clash with it
             p = lower.bit_length() - 1
-            c0 = p % width
-            clash = 0
+            picks.append(p)
+            u0, c0 = divmod(p, width)
             if not lower & ~(ones << c0):  # every lower move has colour c0
-                clash = lower & (nbr_bits[p // width] << c0)
-            root = i
-            while True:  # move bit p recolours vertex u and lowers the code by d
-                u = p // width
-                d = place[u * width + cols[u]] - place[p]
-                t = code - d
-                j = bisect_left(codes, t, i - d if d < i else 0, i)
-                if codes[j] != t:  # codes[i] is X's own code, never t
-                    raise CertificateError(f"no walked state has code {t}")
-                while True:  # find with path halving
-                    up = parent[j]
-                    if up == j:
-                        break
-                    top = parent[up]
-                    if top == up:
-                        j = up
-                        break
-                    parent[j] = top
-                    j = top
-                if j < root:
-                    parent[root] = j
-                    root = j
-                elif j > root:
-                    parent[j] = root
-                if not clash:
+                clash = lower & (nbr_bits[u0] << c0)
+                while clash:
+                    b = clash & -clash
+                    clash ^= b
+                    picks.append(b.bit_length() - 1)
+        first = [cols.index(a) for a in range(used)]  # each colour's first vertex
+        after = cols + palette  # index(a, first[a] + 1) is a's second vertex, or n + a
+        for a in range(used - 1):
+            # upper moves at a's first vertex u, to the colours c with a < c <= top
+            u = first[a]
+            field = moves >> width * u
+            if field & (1 << a) - 1:  # a lower move at u joins them all
+                continue
+            up = field >> a + 1 & (1 << used - a - 1) - 1
+            if up:
+                top = bisect_left(first, after.index(a, u + 1), a + 1) - 1
+                up &= (1 << top - a) - 1
+            if not up:
+                continue
+            c = a + (up & -up).bit_length()
+            joined = False  # by b, through a colour whose first vertex comes before u0
+            while up and not joined:
+                bit = up & -up
+                up ^= bit
+                x = a + bit.bit_length()
+                if first[x] >= u0:
                     break
-                b = clash & -clash
-                clash ^= b
-                p = b.bit_length() - 1
-        if not moves and len(set(cols)) == k:
-            frozen_vecs.append(tuple(cols))
+                joined = x != c0 or not nbr_bits[u] >> width * u0 & 1
+            if not joined:
+                picks.append(width * u + c)
+        targets = []
+        mass = None  # each colour's class weight, the sum of its vertices' place values
+        for p in picks:
+            u, c = divmod(p, width)
+            a = cols[u]
+            y = code + place[p] - place[u * width + a]
+            renaming = None
+            if first[a] == u:
+                if mass is None:
+                    mass = [0] * used
+                    for v in range(n):
+                        mass[cols[v]] += weight[v]
+                top = bisect_left(first, after.index(a, u + 1), a + 1) - 1
+                w = weight[u]
+                y += (top - a) * (mass[a] - w) - sum(mass[max(a, c) + 1 : top + 1])
+                if c > a:
+                    y += (a - c) * (mass[c] + w)
+                renaming = a, c, top
+            d = code - y
+            j = bisect_left(codes, y, i - d if d < i else 0, i)
+            if codes[j] != y:  # codes[i] is X's own code, never y
+                raise CertificateError(f"no walked state has code {y}")
+            targets.append((j, renaming))
+        roots = [find(j) for j, _ in targets]
+        if not surjective or not labelled.issuperset(roots):
+            if roots:
+                low = min(roots)
+                parent[i] = low
+                for r in roots:
+                    parent[r] = low
+                labelled.difference_update(roots)
+            continue
+        labelled.add(i)
+        for j, renaming in targets:
+            sigma = identity
+            if renaming:  # the target is pi^-1 of the representative
+                a, c, top = renaming
+                pi = list(identity)
+                for x in range(max(a, c) + 1, top + 1):
+                    pi[x] = x - 1
+                pi[a] = top
+                if c > a:
+                    pi[c] = a
+                sigma = _inverse(pi)
+            ri, phi_i = locate(i)
+            rj, phi_j = locate(j)
+            h = _compose(_compose(phi_i, sigma), _inverse(phi_j))
+            if ri == rj:
+                if h != identity:
+                    voltages.setdefault(ri, set()).add(h)
+            elif ri < rj:
+                parent[rj], label[rj] = ri, h
+                labelled.discard(rj)
+            else:
+                parent[ri], label[ri] = rj, _inverse(h)
+                labelled.discard(ri)
 
+    gens = {}  # each labelled root's stabiliser generators, in its frame
+    for z, found in voltages.items():
+        if find(z) in labelled:
+            r, phi = locate(z)
+            back = _inverse(phi)
+            gens.setdefault(r, []).extend(_compose(_compose(phi, h), back) for h in found)
     for i in range(len(parent)):  # parents point down: one pass finds every root
         parent[i] = parent[parent[i]]
-    sizes = Counter(parent)
-    component_sizes = tuple(sorted(sizes.values(), reverse=True))
-    frozen = tuple(BlockPartition.from_colours(v_, k) for v_ in frozen_vecs)
+    totals = Counter()
+    for r, m in zip(parent, used_of):
+        totals[r] += orbit[m]
+    sizes = []
+    for r, total in totals.items():
+        copies = orbit[k] // _group_order(gens.get(r, ()), k) if r in labelled else 1
+        sizes += [total // copies] * copies
+    component_sizes = tuple(sorted(sizes, reverse=True))
+    vectors = sorted(tuple(s[c] for c in rep) for rep in frozen_reps for s in permutations(identity))
+    frozen = tuple(BlockPartition.from_colours(v_, k) for v_ in vectors)
     require(all(is_frozen_colouring(g, p) for p in frozen), "isolated colouring is not frozen")
-    require(sum(component_sizes) == len(parent), "component sizes miss a state")
+    require(sum(component_sizes) == states, "component sizes miss a state")
     return ReconfigReport(
         k=k,
-        colouring_count=len(parent),
-        component_count=len(sizes),
+        colouring_count=states,
+        component_count=len(component_sizes),
         component_sizes=component_sizes,
         frozen_colourings=frozen,
     )

@@ -228,6 +228,168 @@ def test_components_cost_at_most_24_bytes_per_state():
     assert peak / rep.colouring_count <= 24
 
 
+def test_components_cost_at_most_2_bytes_per_state():
+    # one code, parent and colour count per orbit of 24 states; the full walk took 12 B
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rep = reconfiguration_components(cycle_graph(10), 4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.colouring_count == 3**10 + 3
+    assert peak / rep.colouring_count <= 2
+
+
+# -- colour orbits ---------------------------------------------------------------
+
+
+def _disjoint_union(*graphs):
+    edges, start = [], 0
+    for h in graphs:
+        edges += [(start + u, start + v) for u, v in h.edges()]
+        start += h.n
+    return graph_from_edges(start, edges)
+
+
+@pytest.mark.parametrize("g, k, sizes, frozen", [
+    (cycle_graph(5), 3, [15] * 2, 0),  # the stabiliser of each component is A_3
+    (cycle_graph(7), 3, [63] * 2, 0),
+    (cycle_graph(9), 3, [252] * 2 + [1] * 6, 6),
+    (_disjoint_union(complete_graph(3), complete_graph(1)), 3, [3] * 6, 0),
+    (_disjoint_union(complete_graph(4), cycle_graph(5)), 4, [240] * 24, 0),
+], ids=["c5_k3", "c7_k3", "c9_k3", "k3+k1_k3", "k4+c5_k4"])
+def test_components_lift_through_their_stabilisers(g, k, sizes, frozen):
+    # every state uses all k colours, so each component comes from the labelled lift
+    assert all(used == k for *_, used in _Packing(g, k).walk(orbits=True))
+    rep = reconfiguration_components(g, k)
+    assert list(rep.component_sizes) == sizes
+    assert len(rep.frozen_colourings) == frozen
+    assert rep.to_json() == _every_edge_components(g, k, 10**5).to_json()
+    assert oracle_components(g, k, brute_vectors(g, k)) == sizes
+
+
+@given(st.integers(0, 10**9), st.integers(1, 9))
+@settings(max_examples=150, deadline=None)
+def test_components_match_every_edge_reference_at_the_chromatic_number(seed, n):
+    # at k = chi no colouring leaves a colour unused; disjoint dense pieces give
+    # components with many different stabilisers
+    rng = random.Random(seed)
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(rng.randint(1, n - sum(sizes)))
+    g = _disjoint_union(*(random_graph(rng, m, rng.choice([0.5, 0.8, 1.0])) for m in sizes))
+    k = chromatic_number(g)[0]
+    try:
+        expected = _every_edge_components(g, k, 20000).to_json()
+    except CapExceeded:
+        return
+    assert all(used == k for *_, used in _Packing(g, k).walk(orbits=True))
+    assert reconfiguration_components(g, k).to_json() == expected
+
+
+@given(st.integers(0, 10**9), st.integers(0, 6), st.integers(0, 4))
+@settings(max_examples=80, deadline=None)
+def test_orbit_walk_yields_the_lex_least_member_of_each_orbit(seed, n, k):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+    space = _Packing(g, k)
+    full = {tuple(cols): (code, moves, lower) for code, cols, moves, lower in space.walk()}
+    perms = list(itertools.permutations(range(k)))
+    least = [v for v in full if all(v <= tuple(s[c] for c in v) for s in perms)]
+    walked = [(tuple(cols), (code, moves, lower), used)
+              for code, cols, moves, lower, used in space.walk(orbits=True)]
+    assert [cols for cols, _, _ in walked] == least  # dicts keep the walk's order
+    assert all(state == full[cols] and used == len(set(cols)) for cols, state, used in walked)
+    total = sum(math.factorial(k) // math.factorial(k - used) for _, _, used in walked)
+    assert total == len(full) == reconfiguration_components(g, k).colouring_count
+
+
+def _closure_order(gens, k):
+    """The order of the group gens generate, by multiplying until nothing is new."""
+    group = {tuple(range(k))}
+    frontier = list(group)
+    while frontier:
+        frontier = [s for s in {tuple(h[x] for x in p) for p in frontier for h in gens}
+                    if s not in group]
+        group.update(frontier)
+    return len(group)
+
+
+@given(st.integers(0, 10**9), st.integers(0, 6), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_group_order_matches_closure(seed, k, count):
+    rng = random.Random(seed)
+    gens = []
+    for _ in range(count):
+        p = list(range(k))
+        rng.shuffle(p)
+        gens.append(tuple(p))
+    assert reconfig._group_order(gens, k) == _closure_order(gens, k)
+
+
+def test_group_order_of_known_groups():
+    for k in range(2, 9):
+        cycle = tuple(range(1, k)) + (0,)
+        swap = (1, 0) + tuple(range(2, k))
+        assert reconfig._group_order([cycle, swap], k) == math.factorial(k)
+        assert reconfig._group_order([cycle], k) == k
+        if k > 2:  # the dihedral group
+            mirror = tuple(-x % k for x in range(k))
+            assert reconfig._group_order([cycle, mirror], k) == 2 * k
+    # the even permutations of 5 points, from two 3-cycles
+    assert reconfig._group_order([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], 5) == 60
+
+
+def _components(g, k):
+    """Every component of R_k(g), as a set of colour vectors, by BFS."""
+    left, out = set(brute_vectors(g, k)), []
+    while left:
+        queue = [left.pop()]
+        comp = set(queue)
+        for x in queue:
+            for y in explicit_moves(g, k, x):
+                if y not in comp:
+                    comp.add(y)
+                    queue.append(y)
+        left -= comp
+        out.append(comp)
+    return out
+
+
+@given(st.integers(0, 10**9), st.integers(1, 6), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_components_with_an_unused_colour_are_closed_under_colour_permutations(seed, n, k):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7, 0.9]))
+    for comp in _components(g, k):
+        if all(len(set(x)) == k for x in comp):
+            continue
+        for s in itertools.permutations(range(k)):
+            assert {tuple(s[c] for c in x) for x in comp} == comp
+
+
+@pytest.mark.parametrize("g, k", [(cycle_graph(5), 3), (path_graph(3), 3),
+                                  (_disjoint_union(complete_graph(3), complete_graph(1)), 3)])
+def test_union_cap_counts_each_edge_once_across_orbits(monkeypatch, g, k):
+    edges = sum(moves.bit_count() for _, _, moves, _ in _Packing(g, k).walk()) // 2
+    monkeypatch.setattr(reconfig, "DEFAULT_UNION_CAP", edges)
+    reconfiguration_components(g, k)
+    monkeypatch.setattr(reconfig, "DEFAULT_UNION_CAP", edges - 1)
+    with pytest.raises(CapExceeded, match=f"more than {edges - 1} union"):
+        reconfiguration_components(g, k)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [13, 14])
+def test_long_cycles_are_4_mixing(n):
+    rep = reconfiguration_components(cycle_graph(n), 4)
+    assert rep.colouring_count == 3**n + (-1) ** n * 3
+    assert rep.component_count == 1
+    assert rep.frozen_colourings == ()
+
+
 def test_report_json_shape():
     rep = reconfiguration_components(complete_graph(3), 3)
     data = rep.to_json()
