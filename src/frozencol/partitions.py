@@ -140,19 +140,21 @@ def _frozen(g: Graph, p: BlockPartition, noun: str) -> bool:
 
     A vertex can move to any class with no neighbour of it, and to any empty
     class, so frozen means: every block nonempty and every vertex has a
-    neighbour in every block but its own. An improper p raises ValueError
-    naming the noun it fails to be, even when p is also not frozen.
+    neighbour in every block but its own. That is, each block together with
+    its neighbourhood (the union of its vertices' rows) covers every vertex.
+    An improper p raises ValueError naming the noun it fails to be, even
+    when p is also not frozen.
     """
     if not _proper(g, p):
         raise ValueError(f"not a {noun}")
     masks = p._masks
     if not all(masks):
         return False
+    reach = list(masks)
     for row, c in zip(g.rows, p._cols):
-        for d, mask in enumerate(masks):
-            if d != c and not row & mask:
-                return False
-    return True
+        reach[c] |= row
+    full = (1 << g.n) - 1
+    return all(r == full for r in reach)
 
 
 def is_frozen_colouring(g: Graph, p: BlockPartition) -> bool:

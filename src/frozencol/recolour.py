@@ -11,11 +11,13 @@ per-vertex bound (6, 4, 2 or 1), counted from the recorder's moves since the
 stage began, and its target colouring. Every public call returns a
 MoveSequence replayed exactly once, by _sealed, against its overall bound and
 end colouring, so path_between composes its stages and is replayed once.
+path_between builds and checks one context per graph and part count, and
+the stages read its part masks and the recorder's colour masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .graph import CertificateError, Graph, bits, find_induced, require
@@ -31,6 +33,11 @@ def _chi(g: Graph):
 @lru_cache(maxsize=65536)
 def _two_k2(g: Graph):
     return find_induced(g, "2K2")
+
+
+@lru_cache(maxsize=128)  # a graph's walks come together, so a few recent contexts do
+def _context(g: Graph, parts: int) -> "CanonicalContext":
+    return maximal_first_partition(g, parts)
 
 
 @dataclass(frozen=True)
@@ -172,25 +179,22 @@ def _sealed(g: Graph, start: BlockPartition, moves, ell: int,
     return seq
 
 
-def _classes(cols: list[int], ell: int) -> dict[int, int]:
-    """Vertex mask of each nonempty colour class -> its colour."""
-    masks = [0] * ell
-    for v, c in enumerate(cols):
-        masks[c] |= 1 << v
-    return {mask: c for c, mask in enumerate(masks) if mask}
-
-
 @dataclass(frozen=True)
 class CanonicalContext:
     """Target partition A_1, A_2(, A_3) of graph, A_1 maximal independent.
 
     The parts are independent, disjoint and cover the vertices; part j is
     the class that ends on colour j. Checked once, when it is built, so the
-    stages that take a context trust it.
+    stages that take a context trust it. It also keeps the vertex mask of
+    each part, its target colouring (colour j on part j) and, once found,
+    the first-part vertex complete to each later part.
     """
 
     graph: Graph
     parts: tuple
+    masks: tuple = field(init=False, repr=False, compare=False)
+    target: list = field(init=False, repr=False, compare=False)
+    complete: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g, parts = self.graph, self.parts
@@ -198,7 +202,7 @@ class CanonicalContext:
             raise ValueError("first part must be nonempty")
         if len(parts) not in (2, 3):
             raise ValueError("need two or three parts")
-        covered = 0
+        covered, masks, target = 0, [], [0] * g.n
         for i, part in enumerate(parts):
             mask = sum(1 << u for u in part)
             if any(g.rows[v] & mask for v in part):
@@ -206,12 +210,17 @@ class CanonicalContext:
             if covered & mask:
                 raise ValueError("parts overlap")
             covered |= mask
+            masks.append(mask)
+            for v in part:
+                target[v] = i
         if covered != (1 << g.n) - 1:
             raise ValueError("parts do not cover the vertex set")
-        first = sum(1 << u for u in parts[0])
         for v in range(g.n):
-            if not (first >> v) & 1 and not g.rows[v] & first:
+            if not (masks[0] >> v) & 1 and not g.rows[v] & masks[0]:
                 raise ValueError(f"first part is not maximal: vertex {v} fits")
+        object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "complete", [None] * len(parts))
 
 
 def _check_start(ctx: CanonicalContext, start: BlockPartition, ell: int,
@@ -225,10 +234,9 @@ def _check_start(ctx: CanonicalContext, start: BlockPartition, ell: int,
         raise ValueError(f"{name} must be a proper colouring on ell blocks")
 
 
-def _most_adjacent(g: Graph, candidates, targets) -> int:
+def _most_adjacent(rows, candidates: int, targets: int) -> int:
     """The candidate with the most neighbours in targets, ties to the least index."""
-    mask = sum(1 << u for u in targets)
-    return min(candidates, key=lambda x: (-(g.rows[x] & mask).bit_count(), x))
+    return max(bits(candidates), key=lambda x: (rows[x] & targets).bit_count())
 
 
 def maximal_first_partition(g: Graph, parts_needed: int) -> CanonicalContext:
@@ -257,31 +265,35 @@ def complete_vertex(ctx: CanonicalContext, j: int) -> int:
     """The first-part vertex complete to part j (1-indexed into ctx.parts).
 
     It is the first-part vertex with the most neighbours in part j, ties by
-    index. Exists on every 2K2-free graph; a 2K2 is reported otherwise.
+    index. Exists on every 2K2-free graph; a 2K2 is reported otherwise. Found
+    and checked once per context.
     """
     if not 1 <= j < len(ctx.parts):
         raise ValueError(f"no part {j} beyond the first")
-    g = ctx.graph
-    witness = _two_k2(g)
-    if witness is not None:
-        raise ValueError(f"graph contains an induced 2K2 on {witness}")
-    part = ctx.parts[j]
-    x = _most_adjacent(g, ctx.parts[0], part)
-    missing = [u for u in part if not g.has_edge(x, u)]
-    require(not missing, f"candidate {x} misses {missing} despite 2K2-freeness")
+    x = ctx.complete[j]
+    if x is None:
+        rows = ctx.graph.rows
+        witness = _two_k2(ctx.graph)
+        if witness is not None:
+            raise ValueError(f"graph contains an induced 2K2 on {witness}")
+        x = _most_adjacent(rows, ctx.masks[0], ctx.masks[j])
+        missing = list(bits(ctx.masks[j] & ~rows[x]))
+        require(not missing, f"candidate {x} misses {missing} despite 2K2-freeness")
+        ctx.complete[j] = x
     return x
 
 
-def _rename(rec: _Recorder, target: list[int]) -> None:
-    """Stage: rename the classes of rec's colouring onto the colours of target.
+def _rename(rec: _Recorder, target: list[int], masks) -> None:
+    """Stage: rename the classes of rec's colouring onto the colours of target,
+    whose colour c has the vertex mask masks[c].
 
     Decomposes the class-to-colour permutation into paths and cycles; paths
     are shifted from their free end, each cycle is broken by parking one
     class on a currently-unused colour. At most 2 moves per vertex.
     """
     ell = rec.ell
-    source = _classes(rec.cols, ell)
-    wanted = _classes(target, ell)
+    source = {mask: c for c, mask in enumerate(rec.masks) if mask}  # class -> its colour
+    wanted = {mask: c for c, mask in enumerate(masks) if mask}
     if source.keys() != wanted.keys():
         raise ValueError("colourings induce different partitions")
     if ell < len(source) + 1:
@@ -302,11 +314,10 @@ def _rename(rec: _Recorder, target: list[int]) -> None:
         block_at[colour_to] = block_at.pop(colour_from)
 
     # paths: walk back from each free target
-    moving_targets = set(succ.values())
-    for tail in sorted(t for t in moving_targets if t not in succ):
+    preds = {t: b for b, t in succ.items()}  # the chains are disjoint
+    for tail in sorted(t for t in preds if t not in succ):
         chain = []
         c = tail
-        preds = {t: b for b, t in succ.items()}
         while c in preds:
             chain.append((preds[c], c))
             c = preds[c]
@@ -345,7 +356,7 @@ def rename_moves(g: Graph, beta: BlockPartition, gamma: BlockPartition, ell: int
     if not is_proper_colouring(g, beta) or not is_proper_colouring(g, gamma):
         raise ValueError("endpoints must be proper colourings")
     rec = _Recorder(g, beta, ell)
-    _rename(rec, gamma.to_colours())
+    _rename(rec, gamma.to_colours(), gamma.block_masks())
     return _sealed(g, beta, rec.moves, ell, bound=2, end=gamma)
 
 
@@ -361,10 +372,10 @@ def _bipartite_canonical(ctx: CanonicalContext, rec: _Recorder) -> list[int]:
     c0 = rec.cols[x]
     c1 = next(c for c in range(rec.ell) if c != c0)
     target = [c1] * ctx.graph.n
-    for v in sorted(ctx.parts[0]):
+    for v in bits(ctx.masks[0]):
         rec.move(v, c0)
         target[v] = c0
-    for v in sorted(ctx.parts[1]):
+    for v in bits(ctx.masks[1]):
         rec.move(v, c1)
     rec.check_stage(mark, 1, target)
     return target
@@ -381,11 +392,6 @@ def bipartite_canonical_moves(
                    end=BlockPartition.from_colours(target, ell))
 
 
-def _two_smallest_other(ell: int, banned: int) -> tuple[int, int]:
-    free = [c for c in range(ell) if c != banned]
-    return free[0], free[1]
-
-
 def _single_colour_part(ctx: CanonicalContext, rec: _Recorder, i: int) -> list[int]:
     """Stage: canonicalise a colouring whose part i is monochromatic.
 
@@ -399,64 +405,60 @@ def _single_colour_part(ctx: CanonicalContext, rec: _Recorder, i: int) -> list[i
     fold the stray c_i-coloured vertices into their parts. Returns the
     colouring it ends on.
     """
-    g, ell = ctx.graph, rec.ell
-    cols = list(rec.cols)
-    part_i = ctx.parts[i]
+    rows, ell = ctx.graph.rows, rec.ell
+    part_i = ctx.masks[i]
     if not part_i:
         raise ValueError(f"part {i} is empty")
-    ci_values = {cols[v] for v in part_i}
+    ci_values = [c for c, mask in enumerate(rec.masks) if mask & part_i]
     if len(ci_values) != 1:
-        raise ValueError(f"part {i} uses colours {sorted(ci_values)}, need one")
-    c_i = ci_values.pop()
+        raise ValueError(f"part {i} uses colours {ci_values}, need one")
+    c_i = ci_values[0]
     ji, ki = [t for t in range(3) if t != i]
-    c_j, c_k = _two_smallest_other(ell, c_i)
+    c_j, c_k = [c for c in range(ell) if c != c_i][:2]
+    part_j, part_k = ctx.masks[ji], ctx.masks[ki]
 
-    target = [0] * g.n
-    for v in part_i:
-        target[v] = c_i
-    for v in ctx.parts[ji]:
-        target[v] = c_j
-    for v in ctx.parts[ki]:
-        target[v] = c_k
+    colour, masks = [0] * 3, [0] * ell
+    colour[i], colour[ji], colour[ki] = c_i, c_j, c_k
+    masks[c_i], masks[c_j], masks[c_k] = part_i, part_j, part_k
+    target = [colour[t] for t in ctx.target]
     mark = len(rec.moves)
 
     # canonical up to class colours: plain renaming is enough (and cheaper)
-    if _classes(cols, ell).keys() == _classes(target, ell).keys():
-        _rename(rec, target)
+    if set(rec.masks) - {0} == set(masks) - {0}:
+        _rename(rec, target, masks)
     else:
-        a_set = {v for v in range(g.n) if cols[v] == c_i}
-        x_set = set(ctx.parts[ji]) - a_set
-        y_set = set(ctx.parts[ki]) - a_set
-        x_fold = x_set | {y for y in y_set if not any(g.has_edge(y, u) for u in x_set)}
-        y_rest = y_set - x_fold
+        a = rec.masks[c_i]
+        x, y = part_j & ~a, part_k & ~a
+        x_fold = x | sum(1 << v for v in bits(y) if not rows[v] & x)
+        y_rest = y & ~x_fold
 
         if x_fold:
             if y_rest:
                 # a fold vertex complete to the rest exists since g is 2K2-free
-                star = _most_adjacent(g, x_fold, y_rest)
-                require(all(g.has_edge(star, u) for u in y_rest),
+                star = _most_adjacent(rows, x_fold, y_rest)
+                require(rows[star] & y_rest == y_rest,
                         "no fold vertex is complete to the rest despite 2K2-freeness")
             else:
-                star = min(x_fold)
+                star = (x_fold & -x_fold).bit_length() - 1
             d1 = rec.cols[star]
-            for v in sorted(x_fold):
+            for v in bits(x_fold):
                 rec.move(v, d1)
             d2 = next(c for c in range(ell) if c not in (c_i, d1, c_j))
-            for v in sorted(y_rest):
+            for v in bits(y_rest):
                 rec.move(v, d2)
-            for v in sorted(x_fold & y_set):
+            for v in bits(x_fold & y):
                 rec.move(v, d2)
-            for v in sorted(x_set):
+            for v in bits(x):
                 rec.move(v, c_j)
-            for v in sorted(y_set):
+            for v in bits(y):
                 rec.move(v, c_k)
-        for v in sorted(a_set & set(ctx.parts[ji])):
+        for v in bits(a & part_j):
             rec.move(v, c_j)
-        for v in sorted(a_set & set(ctx.parts[ki])):
+        for v in bits(a & part_k):
             rec.move(v, c_k)
 
     rec.check_stage(mark, 4, target)
-    require(part_i.isdisjoint(v for v, _ in rec.moves[mark:]), f"part {i} moved")
+    require(not any(part_i >> v & 1 for v, _ in rec.moves[mark:]), f"part {i} moved")
     return target
 
 
@@ -492,28 +494,23 @@ def _canonical(ctx: CanonicalContext, rec: _Recorder) -> list[int]:
     single-colour-part stage and a final renaming onto the target colours,
     colour j on part j, which it returns.
     """
-    g, ell = ctx.graph, rec.ell
+    rows, ell, part_masks = ctx.graph.rows, rec.ell, ctx.masks
     x2 = complete_vertex(ctx, 1)
     x3 = complete_vertex(ctx, 2)
     mark = len(rec.moves)
-    part_masks = [sum(1 << v for v in part) for part in ctx.parts]
 
     def finish(part_index: int) -> list[int]:
         _single_colour_part(ctx, rec, part_index)
-        target = [0] * g.n
-        for colour, part in enumerate(ctx.parts):
-            for v in part:
-                target[v] = colour
-        _rename(rec, target)
-        rec.check_stage(mark, 6, target)
-        return target
+        _rename(rec, ctx.target, ctx.masks)
+        rec.check_stage(mark, 6, ctx.target)
+        return ctx.target
 
     # a vertex adjacent to everything outside its part: monochrome that part
-    for t, part in enumerate(ctx.parts):
-        outside = ((1 << g.n) - 1) ^ part_masks[t]
-        for x in sorted(part):
-            if g.rows[x] & outside == outside:
-                for v in sorted(part):
+    for t, part in enumerate(part_masks):
+        outside = ((1 << ctx.graph.n) - 1) ^ part
+        for x in bits(part):
+            if rows[x] & outside == outside:
+                for v in bits(part):
                     rec.move(v, rec.cols[x])
                 return finish(t)
 
@@ -523,18 +520,18 @@ def _canonical(ctx: CanonicalContext, rec: _Recorder) -> list[int]:
     c2 = rec.cols[x3]
     if c1 == c2:
         # nothing outside the first part holds c1: monochrome the first part
-        for v in sorted(ctx.parts[0]):
+        for v in bits(part_masks[0]):
             rec.move(v, c1)
         return finish(0)
 
     # stage the anchor colours: as many of A_2 to c2, A_3 to c1, A_1 to either
-    for v in sorted(ctx.parts[1]):
+    for v in bits(part_masks[1]):
         if rec.free(v, c2):
             rec.move(v, c2)
-    for v in sorted(ctx.parts[2]):
+    for v in bits(part_masks[2]):
         if rec.free(v, c1):
             rec.move(v, c1)
-    for v in sorted(ctx.parts[0]):
+    for v in bits(part_masks[0]):
         if rec.cols[v] not in (c1, c2):
             if rec.free(v, c1):
                 rec.move(v, c1)
@@ -542,12 +539,12 @@ def _canonical(ctx: CanonicalContext, rec: _Recorder) -> list[int]:
                 rec.move(v, c2)
 
     # case 1: a first-part vertex kept a colour that now appears only there
-    for x in sorted(ctx.parts[0]):
+    for x in bits(part_masks[0]):
         if rec.cols[x] not in (c1, c2):
             c = rec.cols[x]
             require(not rec.masks[c] & ~part_masks[0],
                     "staged colour appears outside the first part")
-            for v in sorted(ctx.parts[0]):
+            for v in bits(part_masks[0]):
                 rec.move(v, c)
             return finish(0)
 
@@ -558,7 +555,7 @@ def _canonical(ctx: CanonicalContext, rec: _Recorder) -> list[int]:
         for c in others:
             if not rec.masks[c] & part_masks[t]:
                 other = 3 - t
-                for v in sorted(ctx.parts[other]):
+                for v in bits(part_masks[other]):
                     rec.move(v, c)
                 return finish(other)
 
@@ -572,7 +569,7 @@ def _canonical(ctx: CanonicalContext, rec: _Recorder) -> list[int]:
     require(not blocked(c, cp), "both orientations blocked: induced 2K2 present")
     for v in bits(rec.masks[cp] & part_masks[1]):
         rec.move(v, c)
-    for v in sorted(ctx.parts[2]):
+    for v in bits(part_masks[2]):
         rec.move(v, cp)
     return finish(2)
 
@@ -610,11 +607,11 @@ def path_between(g: Graph, beta: BlockPartition, gamma: BlockPartition, ell: int
         parts, canonical, bound = 3, _canonical, 14
     if ell < parts + 1:
         raise ValueError(f"need at least {parts + 1} colours")
-    ctx = maximal_first_partition(g, parts)
+    ctx = _context(g, parts)
     ahead, behind = _Recorder(g, beta, ell), _Recorder(g, gamma, ell)
     canonical(ctx, ahead)
     canonical(ctx, behind)
-    _rename(ahead, behind.cols)
+    _rename(ahead, behind.cols, behind.masks)
     cols, back = gamma.to_colours(), []  # behind travelled from its end back to gamma
     for v, c in behind.moves:
         back.append((v, cols[v]))

@@ -240,6 +240,31 @@ def test_frozen_checkers_match_two_pass_reference(gp):
         _two_pass_frozen, complement(g), p, "clique partition")
 
 
+def _per_vertex_frozen(g, p, noun):
+    """Reference: the per-vertex, per-block loop the checker ran before it
+    compared each block's reach with the vertex set."""
+    if not is_proper_colouring(g, p):
+        raise ValueError(f"not a {noun}")
+    masks = p.block_masks()
+    if not all(masks):
+        return False
+    for row, c in zip(g.rows, p.to_colours()):
+        for d, mask in enumerate(masks):
+            if d != c and not row & mask:
+                return False
+    return True
+
+
+@given(maybe_multipartite())
+@settings(max_examples=400, deadline=None)
+def test_frozen_checkers_match_per_vertex_reference(gp):
+    g, p = gp  # n <= 8; improper partitions and empty blocks are drawn too
+    assert _verdict(is_frozen_colouring, g, p) == _verdict(_per_vertex_frozen, g, p,
+                                                           "proper colouring")
+    assert _verdict(is_frozen_clique_partition, g, p) == _verdict(
+        _per_vertex_frozen, complement(g), p, "clique partition")
+
+
 def test_frozen_partition_has_no_bad_singleton():
     # A frozen partition with k >= 2 cannot put a non-isolated vertex alone:
     # its block would sit inside some neighbourhood on the clique side.

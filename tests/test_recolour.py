@@ -323,10 +323,15 @@ def test_path_between_checks_its_context_once(monkeypatch):
         check(ctx)
 
     monkeypatch.setattr(CanonicalContext, "__post_init__", counted)
+    recolour._context.cache_clear()  # earlier tests may have walked these graphs
     g = cycle_graph(5)
-    seq = path_between(g, colouring([0, 1, 0, 1, 2], 4), colouring([3, 2, 3, 0, 1], 4), 4)
-    assert len(seq) > 0
+    for gamma in ([3, 2, 3, 0, 1], [1, 0, 1, 2, 3]):
+        assert len(path_between(g, colouring([0, 1, 0, 1, 2], 4), colouring(gamma, 4), 4)) > 0
     assert len(calls) == 1
+    seq = path_between(CASE_2B, colouring([2, 3, 1, 0, 2, 0, 3, 1], 4),
+                       colouring([2, 2, 0, 1, 0, 3, 3, 3], 4), 4)
+    assert len(seq) > 0
+    assert len(calls) == 2
 
 
 def test_complete_vertex_on_complete_bipartite():
