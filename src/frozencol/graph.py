@@ -110,18 +110,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.rows) // 2
 
-    def label_of(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else str(v)
-
-    def index_of(self, label: str) -> int:
-        """Vertex index carrying the given label."""
-        if self.labels is None:
-            raise ValueError("graph has no labels")
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"no vertex labelled {label!r}") from None
-
     # -- equality / hashing (labels are metadata, excluded) -----------------
 
     def __eq__(self, other: object) -> bool:

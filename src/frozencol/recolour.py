@@ -11,8 +11,11 @@ per-vertex bound (6, 4, 2 or 1), counted from the recorder's moves since the
 stage began, and its target colouring. Every public call returns a
 MoveSequence replayed exactly once, by _sealed, against its overall bound and
 end colouring, so path_between composes its stages and is replayed once.
-path_between builds and checks one context per graph and part count, and
-the stages read its part masks and the recorder's colour masks.
+path_between keeps one cache, of the 128 most recent graphs' contexts: each
+is a three-part maximal-first partition (its third part empty iff chi <= 2),
+so chi is solved and the context built and checked once per cached graph,
+and a 2K2-free graph is scanned for a 2K2 once. The stages read the
+context's part masks and the recorder's colour masks.
 """
 
 from __future__ import annotations
@@ -25,19 +28,9 @@ from .partitions import BlockPartition, is_proper_colouring
 from .solvers import chromatic_number
 
 
-@lru_cache(maxsize=65536)
-def _chi(g: Graph):
-    return chromatic_number(g)
-
-
-@lru_cache(maxsize=65536)
-def _two_k2(g: Graph):
-    return find_induced(g, "2K2")
-
-
 @lru_cache(maxsize=128)  # a graph's walks come together, so a few recent contexts do
-def _context(g: Graph, parts: int) -> "CanonicalContext":
-    return maximal_first_partition(g, parts)
+def _context(g: Graph) -> "CanonicalContext":
+    return maximal_first_partition(g, 3)
 
 
 @dataclass(frozen=True)
@@ -56,9 +49,6 @@ class MoveSequence:
         for v, c in self.moves:
             cols[v] = c
         return cols
-
-    def end_partition(self) -> BlockPartition:
-        return BlockPartition.from_colours(self.end_colours(), self.ell)
 
     def per_vertex_counts(self) -> list[int]:
         counts = [0] * self.start.ground
@@ -134,18 +124,19 @@ class _Recorder:
     def step(self, v: int, c: int) -> bool:
         """Make the move v -> c if it is legal, and say whether it was: v is
         a vertex, c one of the ell colours other than v's, and v free for c."""
-        if not (0 <= v < len(self.cols) and 0 <= c < self.ell and self.cols[v] != c
-                and self.free(v, c)):
+        cols, masks = self.cols, self.masks
+        if (not (0 <= v < len(cols) and 0 <= c < self.ell) or cols[v] == c
+                or self.rows[v] & masks[c]):
             return False
-        self.masks[self.cols[v]] ^= 1 << v
-        self.masks[c] |= 1 << v
-        self.cols[v] = c
+        masks[cols[v]] ^= 1 << v
+        masks[c] |= 1 << v
+        cols[v] = c
         self.moves.append((v, c))
         return True
 
     def move(self, v: int, c: int) -> None:
         """A stage's move: skipped when v already has colour c, else it must be legal."""
-        if self.cols[v] != c and not self.step(v, c):
+        if not self.step(v, c) and self.cols[v] != c:
             raise CertificateError(f"move {v}->{c} is improper or leaves the {self.ell} colours")
 
     def counts(self, mark: int = 0) -> list[int]:
@@ -223,15 +214,14 @@ class CanonicalContext:
         object.__setattr__(self, "complete", [None] * len(parts))
 
 
-def _check_start(ctx: CanonicalContext, start: BlockPartition, ell: int,
-                 parts: int, name: str = "start") -> None:
+def _check_start(ctx: CanonicalContext, start: BlockPartition, ell: int, parts: int) -> None:
     """Entry checks of the canonical stages: part count, colour budget, start."""
     if len(ctx.parts) != parts:
         raise ValueError(f"need a {('two', 'three')[parts - 2]}-part context")
     if ell < parts + 1:
         raise ValueError(f"need at least {parts + 1} colours")
     if start.k != ell or not is_proper_colouring(ctx.graph, start):
-        raise ValueError(f"{name} must be a proper colouring on ell blocks")
+        raise ValueError("start must be a proper colouring on ell blocks")
 
 
 def _most_adjacent(rows, candidates: int, targets: int) -> int:
@@ -249,9 +239,9 @@ def maximal_first_partition(g: Graph, parts_needed: int) -> CanonicalContext:
         raise ValueError("parts_needed must be 2 or 3")
     if g.n == 0:
         raise ValueError("graph has no vertices")
-    chi, witness = _chi(g)
+    chi, witness = chromatic_number(g)
     if chi > parts_needed:
-        raise ValueError(f"chromatic number {chi} exceeds {parts_needed}")
+        raise ValueError(f"pipeline covers chromatic number up to {parts_needed}, got {chi}")
     masks = witness.block_masks() + [0] * (parts_needed - chi)
     first = masks[0]
     for v in range(g.n):
@@ -265,22 +255,23 @@ def complete_vertex(ctx: CanonicalContext, j: int) -> int:
     """The first-part vertex complete to part j (1-indexed into ctx.parts).
 
     It is the first-part vertex with the most neighbours in part j, ties by
-    index. Exists on every 2K2-free graph; a 2K2 is reported otherwise. Found
-    and checked once per context.
+    index. Exists on every 2K2-free graph; a 2K2 is reported otherwise. The
+    first call scans for a 2K2 once and finds and checks the vertex of every
+    later part.
     """
     if not 1 <= j < len(ctx.parts):
         raise ValueError(f"no part {j} beyond the first")
-    x = ctx.complete[j]
-    if x is None:
+    if ctx.complete[j] is None:
         rows = ctx.graph.rows
-        witness = _two_k2(ctx.graph)
+        witness = find_induced(ctx.graph, "2K2")
         if witness is not None:
             raise ValueError(f"graph contains an induced 2K2 on {witness}")
-        x = _most_adjacent(rows, ctx.masks[0], ctx.masks[j])
-        missing = list(bits(ctx.masks[j] & ~rows[x]))
-        require(not missing, f"candidate {x} misses {missing} despite 2K2-freeness")
-        ctx.complete[j] = x
-    return x
+        for t in range(1, len(ctx.parts)):
+            x = _most_adjacent(rows, ctx.masks[0], ctx.masks[t])
+            missing = list(bits(ctx.masks[t] & ~rows[x]))
+            require(not missing, f"candidate {x} misses {missing} despite 2K2-freeness")
+            ctx.complete[t] = x
+    return ctx.complete[j]
 
 
 def _rename(rec: _Recorder, target: list[int], masks) -> None:
@@ -462,26 +453,6 @@ def _single_colour_part(ctx: CanonicalContext, rec: _Recorder, i: int) -> list[i
     return target
 
 
-def single_colour_part_moves(
-    ctx: CanonicalContext, psi: BlockPartition, i: int, ell: int
-) -> MoveSequence:
-    """Canonicalise a colouring whose part i is monochromatic (fold-and-shift).
-
-    Part i keeps its colour and never moves; the other two parts end on the
-    two smallest remaining colours, at most 4 moves per vertex.
-    """
-    _check_start(ctx, psi, ell, 3, "psi")
-    g = ctx.graph
-    if not 0 <= i < 3:
-        raise ValueError("part index out of range")
-    witness = _two_k2(g)
-    if witness is not None:
-        raise ValueError(f"graph contains an induced 2K2 on {witness}")
-    rec = _Recorder(g, psi, ell)
-    target = _single_colour_part(ctx, rec, i)
-    return _sealed(g, psi, rec.moves, ell, bound=4, end=BlockPartition.from_colours(target, ell))
-
-
 def _canonical(ctx: CanonicalContext, rec: _Recorder) -> list[int]:
     """Stage: reach the exact target colouring of ctx, at most 6 moves per vertex.
 
@@ -577,7 +548,7 @@ def _canonical(ctx: CanonicalContext, rec: _Recorder) -> list[int]:
 def canonical_moves(ctx: CanonicalContext, beta: BlockPartition, ell: int) -> MoveSequence:
     """Reach the exact target colouring of ctx, at most 6 moves per vertex."""
     _check_start(ctx, beta, ell, 3)
-    chi, _ = _chi(ctx.graph)
+    chi, _ = chromatic_number(ctx.graph)
     if chi != 3:
         raise ValueError(f"pipeline covers 3-chromatic graphs, got chi={chi}")
     rec = _Recorder(ctx.graph, beta, ell)
@@ -598,16 +569,13 @@ def path_between(g: Graph, beta: BlockPartition, gamma: BlockPartition, ell: int
             raise ValueError("endpoints must be proper colourings on ell blocks")
     if beta == gamma:
         return _sealed(g, beta, (), ell, bound=0, end=gamma)
-    chi, _ = _chi(g)
-    if chi > 3:
-        raise ValueError(f"pipeline covers chromatic number up to 3, got {chi}")
-    if chi <= 2:
-        parts, canonical, bound = 2, _bipartite_canonical, 4
-    else:
+    ctx = _context(g)  # refuses chi above 3
+    if ctx.masks[2]:
         parts, canonical, bound = 3, _canonical, 14
+    else:  # chi <= 2: the bipartite stage reads only parts 0 and 1
+        parts, canonical, bound = 2, _bipartite_canonical, 4
     if ell < parts + 1:
         raise ValueError(f"need at least {parts + 1} colours")
-    ctx = _context(g, parts)
     ahead, behind = _Recorder(g, beta, ell), _Recorder(g, gamma, ell)
     canonical(ctx, ahead)
     canonical(ctx, behind)

@@ -246,8 +246,8 @@ def test_ke_custom():
 
 def test_labels_follow_the_layout():
     g = me_complement(3).graph
-    assert g.label_of(0) == "u0" and g.label_of(4) == "u4"
-    assert g.label_of(5) == "v11" and g.label_of(13) == "v33"
-    assert g.index_of("v12") == 6
+    assert g.labels[0] == "u0" and g.labels[4] == "u4"
+    assert g.labels[5] == "v11" and g.labels[13] == "v33"
+    assert g.labels.index("v12") == 6
     h = b_t(3).graph
-    assert h.label_of(0) == "a1" and h.label_of(5) == "b3"
+    assert h.labels[0] == "a1" and h.labels[5] == "b3"

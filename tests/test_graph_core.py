@@ -90,10 +90,7 @@ def test_labels_are_metadata():
     g = graph_from_edges(2, [(0, 1)], labels=["a", "b"])
     h = graph_from_edges(2, [(0, 1)])
     assert g == h
-    assert g.label_of(0) == "a" and h.label_of(0) == "0"
-    assert g.index_of("b") == 1
-    with pytest.raises(ValueError):
-        g.index_of("c")
+    assert g.labels == ("a", "b") and h.labels is None
     with pytest.raises(ValueError):
         graph_from_edges(2, [(0, 1)], labels=["a", "a"])
 

@@ -1,7 +1,9 @@
 """Verified move sequences: renaming, canonicalisation, and bounded paths."""
 
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,6 @@ from frozencol.recolour import (
     maximal_first_partition,
     path_between,
     rename_moves,
-    single_colour_part_moves,
     verify_moves,
 )
 from frozencol.reconfig import proper_colour_vectors
@@ -201,11 +202,7 @@ def test_rename_replays_once(replays):
 
 def test_public_stages_each_seal_once(replays):
     g, ctx = c5_ctx()
-    outs = [
-        canonical_moves(ctx, colouring([3, 2, 3, 0, 1], 4), 4),
-        single_colour_part_moves(ctx, colouring([2, 0, 2, 3, 1], 4), 0, 4),  # fold-and-shift
-        single_colour_part_moves(ctx, colouring([3, 1, 3, 1, 0], 4), 0, 4),  # renaming
-    ]
+    outs = [canonical_moves(ctx, colouring([3, 2, 3, 0, 1], 4), 4)]
     chain_ctx = maximal_first_partition(CHAIN, 2)
     outs.append(bipartite_canonical_moves(chain_ctx, colouring([1, 1, 0, 2, 2, 1], 3), 3))
     assert all(len(seq) > 0 for seq in outs)
@@ -263,7 +260,7 @@ def test_rename_property_random_permutations(mask, seed):
     gamma = colouring([perm[c] for c in cols], ell)
     seq = rename_moves(g, beta, gamma, ell)
     assert seq.max_per_vertex() <= 2
-    assert seq.end_partition() == gamma
+    assert seq.end_colours() == gamma.to_colours()
     assert verify_moves(g, seq).valid
 
 
@@ -284,9 +281,9 @@ def test_maximal_first_partition_star_centre_blocks_growth():
 
 
 def test_maximal_first_partition_rejects_high_chromatic():
-    with pytest.raises(ValueError, match="exceeds"):
+    with pytest.raises(ValueError, match="up to 3, got 4"):
         maximal_first_partition(complete_graph(4), 3)
-    with pytest.raises(ValueError, match="exceeds"):
+    with pytest.raises(ValueError, match="up to 2, got 3"):
         maximal_first_partition(cycle_graph(5), 2)
 
 
@@ -332,6 +329,29 @@ def test_path_between_checks_its_context_once(monkeypatch):
                        colouring([2, 2, 0, 1, 0, 3, 3, 3], 4), 4)
     assert len(seq) > 0
     assert len(calls) == 2
+
+
+def test_path_between_retains_a_bounded_cache():
+    # one walk on each of 1,000 complete tripartite graphs: only the contexts
+    # of the most recent graphs may stay alive, not every graph walked
+    rng = random.Random(20)
+    tracemalloc.start()
+    try:
+        for _ in range(1000):
+            part = [i for i in range(3) for _ in range(rng.randint(1, 5))]
+            rng.shuffle(part)
+            n = len(part)
+            rows = [sum(1 << u for u in range(n) if part[u] != part[v]) for v in range(n)]
+            p, q = rng.sample(range(4), 3), rng.sample(range(4), 4)
+            beta = colouring([p[t] for t in part], 4)
+            gamma = colouring([rng.choice((q[0], q[3])) if t == 0 else q[t] for t in part], 4)
+            path_between(Graph(n, rows), beta, gamma, 4)
+        del rows, beta, gamma
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 512 * 1024
 
 
 def test_complete_vertex_on_complete_bipartite():
@@ -392,50 +412,52 @@ def c5_ctx():
     return cycle_graph(5), maximal_first_partition(cycle_graph(5), 3)
 
 
+def single_colour_part(ctx, vec, i, ell=4):
+    """Run the single-colour-part stage from vec on a recorder; returns the
+    recorder and the colouring the stage ends on."""
+    rec = recolour._Recorder(ctx.graph, colouring(vec, ell), ell)
+    target = recolour._single_colour_part(ctx, rec, i)
+    rec.check_stage(0, 4, target)
+    return rec, target
+
+
 def test_single_colour_part_reaches_two_smallest_colours():
     g, ctx = c5_ctx()  # parts ({0,2}, {1,3}, {4})
-    psi = colouring([2, 0, 2, 3, 1], 4)  # part 0 monochromatic in colour 2
-    seq = single_colour_part_moves(ctx, psi, 0, 4)
-    assert seq.max_per_vertex() <= 4
-    counts = seq.per_vertex_counts()
+    rec, end = single_colour_part(ctx, [2, 0, 2, 3, 1], 0)  # part 0 monochromatic in colour 2
+    counts = rec.counts()
     assert counts[0] == 0 and counts[2] == 0
-    end = seq.end_colours()
-    assert end == [2, 0, 2, 0, 1]  # parts keep 2 and take the two smallest others
+    assert end == rec.cols == [2, 0, 2, 0, 1]  # parts keep 2 and take the two smallest others
 
 
 def test_single_colour_part_handles_stray_vertices():
     # colour of the monochromatic part also appears outside it: the strays
     # fold back into their own parts at the end
     g, ctx = c5_ctx()
-    psi = colouring([0, 1, 2, 1, 2], 4)  # part 2 holds colour 2, vertex 2 too
-    seq = single_colour_part_moves(ctx, psi, 2, 4)
-    counts = seq.per_vertex_counts()
+    rec, end = single_colour_part(ctx, [0, 1, 2, 1, 2], 2)  # part 2 holds colour 2, vertex 2 too
+    counts = rec.counts()
     assert counts[4] == 0
     assert counts[2] >= 1  # the stray moved back into its own part's colour
-    assert seq.end_colours() == [0, 1, 0, 1, 2]
+    assert end == [0, 1, 0, 1, 2]
 
 
 def test_single_colour_part_already_canonical_is_a_renaming():
     g, ctx = c5_ctx()
-    psi = colouring([3, 0, 3, 0, 1], 4)  # canonical partition, part 0 on colour 3
-    seq = single_colour_part_moves(ctx, psi, 0, 4)
-    assert all(seq.per_vertex_counts()[v] == 0 for v in ctx.parts[0])
-    assert seq.max_per_vertex() <= 2  # pure renaming of the other two parts
-    assert seq.end_colours() == [3, 0, 3, 0, 1]
+    rec, end = single_colour_part(ctx, [3, 0, 3, 0, 1], 0)  # canonical partition, part 0 on colour 3
+    assert all(rec.counts()[v] == 0 for v in ctx.parts[0])
+    assert max(rec.counts()) <= 2  # pure renaming of the other two parts
+    assert end == [3, 0, 3, 0, 1]
 
 
 def test_single_colour_part_exact_target_is_empty():
     g, ctx = c5_ctx()
-    psi = colouring([2, 0, 2, 0, 1], 4)
-    assert single_colour_part_moves(ctx, psi, 0, 4).moves == ()
+    rec, _ = single_colour_part(ctx, [2, 0, 2, 0, 1], 0)
+    assert rec.moves == []
 
 
 def test_single_colour_part_validates_input():
     g, ctx = c5_ctx()
-    with pytest.raises(ValueError, match="at least 4"):
-        single_colour_part_moves(ctx, colouring([2, 0, 2, 0, 1], 3), 0, 3)
     with pytest.raises(ValueError, match="need one"):
-        single_colour_part_moves(ctx, colouring([2, 0, 3, 0, 1], 4), 0, 4)
+        single_colour_part(ctx, [2, 0, 3, 0, 1], 0)
 
 
 def test_single_colour_part_exhaustive_c5():
@@ -446,12 +468,11 @@ def test_single_colour_part_exhaustive_c5():
             if len({vec[v] for v in ctx.parts[i]}) != 1:
                 continue
             hit += 1
-            seq = single_colour_part_moves(ctx, colouring(vec, 4), i, 4)
-            counts = seq.per_vertex_counts()
+            rec, end = single_colour_part(ctx, vec, i)
+            counts = rec.counts()
             assert all(counts[v] == 0 for v in ctx.parts[i])
-            assert seq.max_per_vertex() <= 4
-            end = seq.end_colours()
             assert all(len({end[v] for v in part}) == 1 for part in ctx.parts if part)
+            assert verify_moves(g, MoveSequence(colouring(vec, 4), tuple(rec.moves), 4)).valid
     assert hit > 100
 
 
@@ -552,7 +573,7 @@ def test_path_between_bipartite_bound():
         gamma = colouring(rng.choice(vecs), 3)
         seq = path_between(g, beta, gamma, 3)
         assert seq.max_per_vertex() <= 4
-        assert seq.end_partition() == gamma
+        assert seq.end_colours() == gamma.to_colours()
 
 
 def test_path_between_three_chromatic_bound():
@@ -565,7 +586,7 @@ def test_path_between_three_chromatic_bound():
         seq = path_between(g, beta, gamma, 4)
         assert seq.max_per_vertex() <= 14
         assert len(seq.moves) <= 14 * g.n
-        assert seq.end_partition() == gamma
+        assert seq.end_colours() == gamma.to_colours()
 
 
 def test_path_between_rejects_high_chromatic():
@@ -622,5 +643,5 @@ def test_path_property_small_graphs(mask, seed):
     seq = path_between(g, beta, gamma, ell)
     bound = 4 if chi <= 2 else 14
     assert seq.max_per_vertex() <= bound
-    assert seq.end_partition() == gamma
+    assert seq.end_colours() == gamma.to_colours()
     assert verify_moves(g, seq).valid

@@ -56,7 +56,7 @@ def test_subdivide_k2_gives_p4():
     out = subdivide_edge(g, 0, 1)
     assert out.n == 4 and out.edges() == [(0, 2), (1, 3), (2, 3)]
     assert are_isomorphic(out, path_graph(4)) is not None
-    assert out.label_of(2) == "u@2" and out.label_of(3) == "v@2"
+    assert out.labels[2] == "u@2" and out.labels[3] == "v@2"
 
 
 def test_subdivide_c4_gives_c6():
