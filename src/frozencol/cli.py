@@ -129,14 +129,23 @@ def read_graph(path: str, fmt: str = "auto") -> Graph:
     raise UsageFailure(f"unknown graph format {fmt!r}")
 
 
-def read_partition(path: str, k: int | None = None) -> BlockPartition:
-    """Load a partition from JSON {k, blocks} or a colour-per-vertex line."""
+def read_partition(path: str, n: int, k: int | None = None) -> BlockPartition:
+    """Load a partition from JSON {k, blocks} or a colour-per-vertex line.
+
+    Without k, a colour line's k is its top colour plus one, so a colour
+    above the graph's order n is refused before any block is allocated.
+    """
     text = _read_text(path).strip()
     try:
         if text.startswith("{"):
             part = BlockPartition.from_json(json.loads(text))
         else:
-            part = BlockPartition.from_colour_line(text, k)
+            cols = [int(t) for t in text.split()]
+            top = max(cols, default=0)
+            if k is None and top > n:
+                raise UsageFailure(f"colour {top} in partition {path} is above "
+                                   f"the graph's order {n}")
+            part = BlockPartition.from_colours(cols, k)
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageFailure(f"cannot parse partition {path}: {exc}")
     if k is not None and part.k != k:
@@ -246,7 +255,7 @@ def check(graph: str, partition: str, frozen: bool, clique_partition: bool,
           k: int | None, fmt: str, out: str | None) -> int | None:
     """Check a partition against a graph; exit 0 iff it passes."""
     g = read_graph(graph, fmt)
-    part = read_partition(partition, k)
+    part = read_partition(partition, g.n, k)
     if part.ground != g.n:
         raise UsageFailure(
             f"partition covers {part.ground} vertices but the graph has {g.n}"

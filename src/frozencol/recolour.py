@@ -5,17 +5,18 @@ on each part (at most 6 moves per vertex on 3-chromatic 2K2-free graphs, 1 on
 bipartite ones), and bridge two such colourings by renaming classes (at most
 2 moves per vertex).
 
-Each stage is a private builder that appends to a shared _Recorder, which
-checks every move as it is made. A builder checks only its own stage: the
-per-vertex bound (6, 4, 2 or 1), counted from the recorder's moves since the
-stage began, and its target colouring. Every public call returns a
-MoveSequence replayed exactly once, by _sealed, against its overall bound and
-end colouring, so path_between composes its stages and is replayed once.
+Each stage is a private builder that paints independent vertex masks onto
+a shared _Recorder, which checks every move as it is made. A builder checks
+only its own stage: the per-vertex bound (6, 4, 2 or 1), counted from the
+recorder's moves since the stage began, and its target colouring. Every
+public call returns a MoveSequence replayed exactly once, by _sealed,
+against its overall bound and end colouring, so path_between composes its
+stages and is replayed once.
 path_between keeps one cache, of the 128 most recent graphs' contexts: each
-is a three-part maximal-first partition (its third part empty iff chi <= 2),
-so chi is solved and the context built and checked once per cached graph,
-and a 2K2-free graph is scanned for a 2K2 once. The stages read the
-context's part masks and the recorder's colour masks.
+is a maximal-first partition into three part masks (the third empty iff
+chi <= 2), so chi is solved and the context built and checked once per
+cached graph, and a 2K2-free graph is scanned for a 2K2 once. The stages
+read the context's part masks and the recorder's colour masks.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .solvers import chromatic_number
 
 @lru_cache(maxsize=128)  # a graph's walks come together, so a few recent contexts do
 def _context(g: Graph) -> "CanonicalContext":
-    return maximal_first_partition(g, 3)
+    return maximal_first_partition(g)
 
 
 @dataclass(frozen=True)
@@ -105,9 +106,9 @@ class _Recorder:
 
     It keeps the colour of each vertex and one vertex mask per colour, and
     is the one place that decides whether a move is legal. Each stage
-    builder appends to a shared recorder and checks its own stage with
-    check_stage, so a walk composed of several stages is replayed only
-    once, by its final seal.
+    builder paints independent sets onto a shared recorder and checks its
+    own stage with check_stage, so a walk composed of several stages is
+    replayed only once, by its final seal.
     """
 
     def __init__(self, g: Graph, start: BlockPartition, ell: int):
@@ -116,10 +117,6 @@ class _Recorder:
         self.cols = start.to_colours()
         self.masks = start.block_masks()
         self.moves: list[tuple[int, int]] = []
-
-    def free(self, v: int, c: int) -> bool:
-        """True iff no neighbour of v has colour c."""
-        return not self.rows[v] & self.masks[c]
 
     def step(self, v: int, c: int) -> bool:
         """Make the move v -> c if it is legal, and say whether it was: v is
@@ -134,10 +131,19 @@ class _Recorder:
         self.moves.append((v, c))
         return True
 
-    def move(self, v: int, c: int) -> None:
-        """A stage's move: skipped when v already has colour c, else it must be legal."""
-        if not self.step(v, c) and self.cols[v] != c:
-            raise CertificateError(f"move {v}->{c} is improper or leaves the {self.ell} colours")
+    def paint(self, mask: int, c: int) -> None:
+        """A stage's moves: each vertex of mask not yet on colour c moves to c,
+        in index order, and each move must be legal."""
+        for v in bits(mask & ~self.masks[c]):
+            if not self.step(v, c):
+                raise CertificateError(f"move {v}->{c} is improper or leaves the {self.ell} colours")
+
+    def near(self, c: int) -> int:
+        """The vertices with a neighbour of colour c."""
+        out = 0
+        for u in bits(self.masks[c]):
+            out |= self.rows[u]
+        return out
 
     def counts(self, mark: int = 0) -> list[int]:
         """How often each vertex moved since move mark."""
@@ -172,51 +178,51 @@ def _sealed(g: Graph, start: BlockPartition, moves, ell: int,
 
 @dataclass(frozen=True)
 class CanonicalContext:
-    """Target partition A_1, A_2(, A_3) of graph, A_1 maximal independent.
+    """Target partition A_1, A_2, A_3 of graph as vertex masks, A_1 maximal
+    independent and A_3 empty iff the graph is bipartite.
 
     The parts are independent, disjoint and cover the vertices; part j is
     the class that ends on colour j. Checked once, when it is built, so the
-    stages that take a context trust it. It also keeps the vertex mask of
-    each part, its target colouring (colour j on part j) and, once found,
-    the first-part vertex complete to each later part.
+    stages that take a context trust it. It also keeps its target colouring
+    (colour j on part j) and, once found, the first-part vertex complete to
+    each later part.
     """
 
     graph: Graph
-    parts: tuple
-    masks: tuple = field(init=False, repr=False, compare=False)
+    masks: tuple
     target: list = field(init=False, repr=False, compare=False)
     complete: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g, parts = self.graph, self.parts
-        if not parts or not parts[0]:
+        g, masks = self.graph, self.masks
+        for i, mask in enumerate(masks):  # bits() of a negative mask never ends
+            if not 0 <= mask < 1 << g.n:
+                raise ValueError(f"part {i} is not a mask of the {g.n} vertices")
+        if not masks or not masks[0]:
             raise ValueError("first part must be nonempty")
-        if len(parts) not in (2, 3):
-            raise ValueError("need two or three parts")
-        covered, masks, target = 0, [], [0] * g.n
-        for i, part in enumerate(parts):
-            mask = sum(1 << u for u in part)
-            if any(g.rows[v] & mask for v in part):
+        if len(masks) != 3:
+            raise ValueError("need three parts")
+        covered, target = 0, [0] * g.n
+        for i, mask in enumerate(masks):
+            if any(g.rows[v] & mask for v in bits(mask)):
                 raise ValueError(f"part {i} is not independent")
             if covered & mask:
                 raise ValueError("parts overlap")
             covered |= mask
-            masks.append(mask)
-            for v in part:
+            for v in bits(mask):
                 target[v] = i
         if covered != (1 << g.n) - 1:
             raise ValueError("parts do not cover the vertex set")
         for v in range(g.n):
             if not (masks[0] >> v) & 1 and not g.rows[v] & masks[0]:
                 raise ValueError(f"first part is not maximal: vertex {v} fits")
-        object.__setattr__(self, "masks", tuple(masks))
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "complete", [None] * len(parts))
+        object.__setattr__(self, "complete", [None] * 3)
 
 
 def _check_start(ctx: CanonicalContext, start: BlockPartition, ell: int, parts: int) -> None:
     """Entry checks of the canonical stages: part count, colour budget, start."""
-    if len(ctx.parts) != parts:
+    if (3 if ctx.masks[2] else 2) != parts:
         raise ValueError(f"need a {('two', 'three')[parts - 2]}-part context")
     if ell < parts + 1:
         raise ValueError(f"need at least {parts + 1} colours")
@@ -229,44 +235,41 @@ def _most_adjacent(rows, candidates: int, targets: int) -> int:
     return max(bits(candidates), key=lambda x: (rows[x] & targets).bit_count())
 
 
-def maximal_first_partition(g: Graph, parts_needed: int) -> CanonicalContext:
-    """Partition into independent parts with the first grown maximal.
+def maximal_first_partition(g: Graph) -> CanonicalContext:
+    """Partition into three independent parts with the first grown maximal.
 
-    Starts from a minimum colouring and absorbs into the first part, in
-    index order, every vertex with no neighbour there.
+    Starts from a minimum colouring (padded with empty parts) and absorbs
+    into the first part, in index order, every vertex with no neighbour there.
     """
-    if parts_needed not in (2, 3):
-        raise ValueError("parts_needed must be 2 or 3")
     if g.n == 0:
         raise ValueError("graph has no vertices")
     chi, witness = chromatic_number(g)
-    if chi > parts_needed:
-        raise ValueError(f"pipeline covers chromatic number up to {parts_needed}, got {chi}")
-    masks = witness.block_masks() + [0] * (parts_needed - chi)
+    if chi > 3:
+        raise ValueError(f"pipeline covers chromatic number up to 3, got {chi}")
+    masks = witness.block_masks() + [0] * (3 - chi)
     first = masks[0]
     for v in range(g.n):
         if not g.rows[v] & first:
             first |= 1 << v
-    parts = [first] + [m & ~first for m in masks[1:]]
-    return CanonicalContext(g, tuple(frozenset(bits(m)) for m in parts))
+    return CanonicalContext(g, (first, masks[1] & ~first, masks[2] & ~first))
 
 
 def complete_vertex(ctx: CanonicalContext, j: int) -> int:
-    """The first-part vertex complete to part j (1-indexed into ctx.parts).
+    """The first-part vertex complete to part j (1 or 2, indexing ctx.masks).
 
     It is the first-part vertex with the most neighbours in part j, ties by
     index. Exists on every 2K2-free graph; a 2K2 is reported otherwise. The
     first call scans for a 2K2 once and finds and checks the vertex of every
     later part.
     """
-    if not 1 <= j < len(ctx.parts):
+    if not 1 <= j < 3:
         raise ValueError(f"no part {j} beyond the first")
     if ctx.complete[j] is None:
         rows = ctx.graph.rows
         witness = find_induced(ctx.graph, "2K2")
         if witness is not None:
             raise ValueError(f"graph contains an induced 2K2 on {witness}")
-        for t in range(1, len(ctx.parts)):
+        for t in (1, 2):
             x = _most_adjacent(rows, ctx.masks[0], ctx.masks[t])
             missing = list(bits(ctx.masks[t] & ~rows[x]))
             require(not missing, f"candidate {x} misses {missing} despite 2K2-freeness")
@@ -300,8 +303,7 @@ def _rename(rec: _Recorder, target: list[int], masks) -> None:
             block_at[b] = block
 
     def shift(colour_from: int, colour_to: int) -> None:
-        for v in bits(block_at[colour_from]):
-            rec.move(v, colour_to)
+        rec.paint(block_at[colour_from], colour_to)
         block_at[colour_to] = block_at.pop(colour_from)
 
     # paths: walk back from each free target
@@ -352,7 +354,7 @@ def rename_moves(g: Graph, beta: BlockPartition, gamma: BlockPartition, ell: int
 
 
 def _bipartite_canonical(ctx: CanonicalContext, rec: _Recorder) -> list[int]:
-    """Stage: monochrome both parts of a two-part context, one move per vertex.
+    """Stage: monochrome both parts of a bipartite context, one move per vertex.
 
     The first part goes to the colour of its vertex complete to the second
     part (so nothing over there blocks it), then the second part goes to the
@@ -362,12 +364,9 @@ def _bipartite_canonical(ctx: CanonicalContext, rec: _Recorder) -> list[int]:
     mark = len(rec.moves)
     c0 = rec.cols[x]
     c1 = next(c for c in range(rec.ell) if c != c0)
-    target = [c1] * ctx.graph.n
-    for v in bits(ctx.masks[0]):
-        rec.move(v, c0)
-        target[v] = c0
-    for v in bits(ctx.masks[1]):
-        rec.move(v, c1)
+    target = [(c0, c1)[t] for t in ctx.target]
+    rec.paint(ctx.masks[0], c0)
+    rec.paint(ctx.masks[1], c1)
     rec.check_stage(mark, 1, target)
     return target
 
@@ -432,21 +431,14 @@ def _single_colour_part(ctx: CanonicalContext, rec: _Recorder, i: int) -> list[i
             else:
                 star = (x_fold & -x_fold).bit_length() - 1
             d1 = rec.cols[star]
-            for v in bits(x_fold):
-                rec.move(v, d1)
+            rec.paint(x_fold, d1)
             d2 = next(c for c in range(ell) if c not in (c_i, d1, c_j))
-            for v in bits(y_rest):
-                rec.move(v, d2)
-            for v in bits(x_fold & y):
-                rec.move(v, d2)
-            for v in bits(x):
-                rec.move(v, c_j)
-            for v in bits(y):
-                rec.move(v, c_k)
-        for v in bits(a & part_j):
-            rec.move(v, c_j)
-        for v in bits(a & part_k):
-            rec.move(v, c_k)
+            rec.paint(y_rest, d2)
+            rec.paint(x_fold & y, d2)
+            rec.paint(x, c_j)
+            rec.paint(y, c_k)
+        rec.paint(a & part_j, c_j)
+        rec.paint(a & part_k, c_k)
 
     rec.check_stage(mark, 4, target)
     require(not any(part_i >> v & 1 for v, _ in rec.moves[mark:]), f"part {i} moved")
@@ -481,8 +473,7 @@ def _canonical(ctx: CanonicalContext, rec: _Recorder) -> list[int]:
         outside = ((1 << ctx.graph.n) - 1) ^ part
         for x in bits(part):
             if rows[x] & outside == outside:
-                for v in bits(part):
-                    rec.move(v, rec.cols[x])
+                rec.paint(part, rec.cols[x])
                 return finish(t)
 
     # a shared complete vertex dominates and was caught above
@@ -491,23 +482,18 @@ def _canonical(ctx: CanonicalContext, rec: _Recorder) -> list[int]:
     c2 = rec.cols[x3]
     if c1 == c2:
         # nothing outside the first part holds c1: monochrome the first part
-        for v in bits(part_masks[0]):
-            rec.move(v, c1)
+        rec.paint(part_masks[0], c1)
         return finish(0)
 
     # stage the anchor colours: as many of A_2 to c2, A_3 to c1, A_1 to either
-    for v in bits(part_masks[1]):
-        if rec.free(v, c2):
-            rec.move(v, c2)
-    for v in bits(part_masks[2]):
-        if rec.free(v, c1):
-            rec.move(v, c1)
+    rec.paint(part_masks[1] & ~rec.near(c2), c2)
+    rec.paint(part_masks[2] & ~rec.near(c1), c1)
     for v in bits(part_masks[0]):
         if rec.cols[v] not in (c1, c2):
-            if rec.free(v, c1):
-                rec.move(v, c1)
-            elif rec.free(v, c2):
-                rec.move(v, c2)
+            if not rows[v] & rec.masks[c1]:
+                rec.paint(1 << v, c1)
+            elif not rows[v] & rec.masks[c2]:
+                rec.paint(1 << v, c2)
 
     # case 1: a first-part vertex kept a colour that now appears only there
     for x in bits(part_masks[0]):
@@ -515,8 +501,7 @@ def _canonical(ctx: CanonicalContext, rec: _Recorder) -> list[int]:
             c = rec.cols[x]
             require(not rec.masks[c] & ~part_masks[0],
                     "staged colour appears outside the first part")
-            for v in bits(part_masks[0]):
-                rec.move(v, c)
+            rec.paint(part_masks[0], c)
             return finish(0)
 
     others = [c for c in range(ell) if c not in (c1, c2)]
@@ -526,22 +511,19 @@ def _canonical(ctx: CanonicalContext, rec: _Recorder) -> list[int]:
         for c in others:
             if not rec.masks[c] & part_masks[t]:
                 other = 3 - t
-                for v in bits(part_masks[other]):
-                    rec.move(v, c)
+                rec.paint(part_masks[other], c)
                 return finish(other)
 
     # case 2(b): both smallest non-anchor colours appear on both later parts
     def blocked(c: int, cp: int) -> bool:  # a cp-coloured A_2 vertex sees colour c
-        return not all(rec.free(v, c) for v in bits(rec.masks[cp] & part_masks[1]))
+        return bool(rec.masks[cp] & part_masks[1] & rec.near(c))
 
     c, cp = others[0], others[1]
     if blocked(c, cp):
         c, cp = cp, c
     require(not blocked(c, cp), "both orientations blocked: induced 2K2 present")
-    for v in bits(rec.masks[cp] & part_masks[1]):
-        rec.move(v, c)
-    for v in bits(part_masks[2]):
-        rec.move(v, cp)
+    rec.paint(rec.masks[cp] & part_masks[1], c)
+    rec.paint(part_masks[2], cp)
     return finish(2)
 
 

@@ -105,13 +105,9 @@ def subdivide_with_certificates(
     return TransformResult(out, q_out, f_out, case_used, c4_preserved)
 
 
-def theta_increment_check(result: TransformResult, h: Graph, k: int) -> bool:
-    """Exact-solver confirmation that the cover number rose from k to k+1."""
+def with_theta_check(result: TransformResult, h: Graph, k: int) -> TransformResult:
+    """Copy of result whose theta_incremented flag says, by the exact solver,
+    whether the cover number rose from k on h to k+1 on the output."""
     theta_in, _ = clique_cover_number(h)
     theta_out, _ = clique_cover_number(result.graph_out)
-    return theta_in == k and theta_out == k + 1
-
-
-def with_theta_check(result: TransformResult, h: Graph, k: int) -> TransformResult:
-    """Copy of result with the theta_incremented flag filled in."""
-    return replace(result, theta_incremented=theta_increment_check(result, h, k))
+    return replace(result, theta_incremented=theta_in == k and theta_out == k + 1)

@@ -46,7 +46,7 @@ from frozencol.solvers import (
     clique_number,
     independence_number,
 )
-from frozencol.transform import subdivide_with_certificates, theta_increment_check
+from frozencol.transform import subdivide_with_certificates, with_theta_check
 
 SEED = 20260816
 
@@ -175,7 +175,7 @@ def test_05_subdivision_chain_raises_cover_number():
     x, y = 1, 2
     for t in range(5, 9):
         res = subdivide_with_certificates(g, q, f, x, y)
-        assert theta_increment_check(res, g, t - 1)
+        assert with_theta_check(res, g, t - 1).theta_incremented
         g, q, f = res.graph_out, res.q_out, res.f_out
         assert clique_cover_number(g)[0] == t
         assert f.k == t + 1

@@ -134,6 +134,27 @@ def test_check_size_mismatch_is_usage_error(runner, c5_path, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("flags", [[], ["--frozen"], ["--clique-partition"],
+                                   ["--frozen", "--clique-partition"]])
+def test_check_colour_above_order_is_usage_error(runner, c6_path, tmp_path, flags):
+    # without --k the top colour sets the block count: refused before it is allocated
+    line = tmp_path / "cols.txt"
+    line.write_text("0 1 0 1 0 9999999999999999999\n")
+    result = runner.invoke(main, ["check", c6_path, str(line), *flags])
+    assert result.exit_code == 2
+    assert result.stderr == (f"error: colour 9999999999999999999 in partition {line} "
+                             "is above the graph's order 6\n")
+    assert "Traceback" not in result.output
+
+
+def test_check_colour_up_to_order_is_read(runner, c6_path, tmp_path):
+    line = tmp_path / "cols.txt"
+    line.write_text("0 1 0 1 0 6\n")  # k = 7 blocks, some empty
+    result = runner.invoke(main, ["check", c6_path, str(line)])
+    assert result.exit_code == 0
+    assert result.output == "PASS: proper colouring\n"
+
+
 def test_check_k_must_match_json_partition(runner, c5_path, tmp_path):
     part = tmp_path / "part.json"
     part.write_text(json.dumps({"k": 5, "blocks": [[v] for v in range(5)]}))

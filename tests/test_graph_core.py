@@ -477,11 +477,14 @@ import frozencol.recolour as R
 from frozencol.graph import cycle_graph
 from frozencol.partitions import BlockPartition
 
-def skewed(self, v, c):  # records a different colour from the one it applies
-    self.moves.append((v, (c + 1) % self.ell))
-    self.cols[v] = c
+plain = R._Recorder.paint
 
-R._Recorder.move = skewed
+def skewed(self, mask, c):  # records a different colour from the one it applies
+    mark = len(self.moves)
+    plain(self, mask, c)
+    self.moves[mark:] = [(v, (c + 1) % self.ell) for v, _ in self.moves[mark:]]
+
+R._Recorder.paint = skewed
 beta = BlockPartition.from_colours([0, 1, 0, 1, 2], 4)
 gamma = BlockPartition.from_colours([1, 0, 1, 0, 3], 4)
 R.path_between(cycle_graph(5), beta, gamma, 4)
@@ -493,17 +496,17 @@ import frozencol.recolour as R
 from frozencol.graph import cycle_graph
 from frozencol.partitions import BlockPartition
 
-plain = R._Recorder.move
+plain = R._Recorder.paint
 
-def detour(self, v, c):  # reaches c by way of another free colour
-    if self.cols[v] != c:
+def detour(self, mask, c):  # reaches c by way of another free colour
+    for v in R.bits(mask & ~self.masks[c]):
         for d in range(self.ell):
-            if d not in (c, self.cols[v]) and self.free(v, d):
-                plain(self, v, d)
+            if d not in (c, self.cols[v]) and not self.rows[v] & self.masks[d]:
+                plain(self, 1 << v, d)
                 break
-    plain(self, v, c)
+        plain(self, 1 << v, c)
 
-R._Recorder.move = detour
+R._Recorder.paint = detour
 beta = BlockPartition.from_colours([2, 3, 2, 3], 4)
 gamma = BlockPartition.from_colours([0, 1, 0, 1], 4)
 R.path_between(cycle_graph(4), beta, gamma, 4)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from frozencol.graph import (
     Graph,
+    bits,
     complement,
     complete_graph,
     cycle_graph,
@@ -40,6 +41,10 @@ from frozencol.solvers import chromatic_number
 
 def colouring(cols, k):
     return BlockPartition.from_colours(list(cols), k)
+
+
+def masks(*parts):
+    return tuple(sum(1 << v for v in part) for part in parts)
 
 
 def graph_from_mask(n, mask):
@@ -203,7 +208,7 @@ def test_rename_replays_once(replays):
 def test_public_stages_each_seal_once(replays):
     g, ctx = c5_ctx()
     outs = [canonical_moves(ctx, colouring([3, 2, 3, 0, 1], 4), 4)]
-    chain_ctx = maximal_first_partition(CHAIN, 2)
+    chain_ctx = maximal_first_partition(CHAIN)
     outs.append(bipartite_canonical_moves(chain_ctx, colouring([1, 1, 0, 2, 2, 1], 3), 3))
     assert all(len(seq) > 0 for seq in outs)
     assert replays == outs
@@ -268,47 +273,57 @@ def test_rename_property_random_permutations(mask, seed):
 
 
 def test_maximal_first_partition_grows_first_part():
-    ctx = maximal_first_partition(cycle_graph(5), 3)
-    assert [sorted(p) for p in ctx.parts] == [[0, 2], [1, 3], [4]]
+    ctx = maximal_first_partition(cycle_graph(5))
+    assert ctx.masks == masks({0, 2}, {1, 3}, {4})
     assert (complete_vertex(ctx, 1), complete_vertex(ctx, 2)) == (2, 0)
 
 
 def test_maximal_first_partition_star_centre_blocks_growth():
     star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    ctx = maximal_first_partition(star, 2)
+    ctx = maximal_first_partition(star)
     # the leaves fold into whichever side the solver lists first
-    assert {frozenset(p) for p in ctx.parts} == {frozenset({0}), frozenset({1, 2, 3})}
+    assert set(ctx.masks[:2]) == set(masks({0}, {1, 2, 3}))
+    assert ctx.masks[2] == 0
 
 
 def test_maximal_first_partition_rejects_high_chromatic():
     with pytest.raises(ValueError, match="up to 3, got 4"):
-        maximal_first_partition(complete_graph(4), 3)
-    with pytest.raises(ValueError, match="up to 2, got 3"):
-        maximal_first_partition(cycle_graph(5), 2)
+        maximal_first_partition(complete_graph(4))
 
 
 def test_maximal_first_partition_is_deterministic():
-    a = maximal_first_partition(cycle_graph(6), 3)
-    b = maximal_first_partition(cycle_graph(6), 3)
+    a = maximal_first_partition(cycle_graph(6))
+    b = maximal_first_partition(cycle_graph(6))
     assert a == b
 
 
 def test_context_rejects_bad_shapes():
     with pytest.raises(ValueError, match="nonempty"):
-        CanonicalContext(empty_graph(1), (frozenset(),))
+        CanonicalContext(empty_graph(1), (0,))
 
 
 @pytest.mark.parametrize("parts, message", [
-    (({0, 2}, {1, 3, 4}), "part 1 is not independent"),
+    (({0, 2}, {1, 3, 4}, ()), "part 1 is not independent"),
     (({0, 2}, {1, 3}, {2, 4}), "parts overlap"),
-    (({0, 2}, {1, 3}), "parts do not cover the vertex set"),
+    (({0, 2}, {1, 3}, ()), "parts do not cover the vertex set"),
     (({0}, {1, 3}, {2, 4}), "first part is not maximal: vertex 2 fits"),
     (((), {0, 2}, {1, 3, 4}), "first part must be nonempty"),
-    (({0, 2}, {1, 3}, {4}, ()), "need two or three parts"),
+    (({0, 2}, {1, 3}, {4}, ()), "need three parts"),
+    (({0, 2}, {1, 3, 4}), "need three parts"),
 ])
 def test_context_rejects_invalid_partitions(parts, message):
     with pytest.raises(ValueError, match=message):
-        CanonicalContext(cycle_graph(5), tuple(frozenset(p) for p in parts))
+        CanonicalContext(cycle_graph(5), masks(*parts))
+
+
+@pytest.mark.parametrize("parts, message", [
+    ((-1, 0, 0), "part 0 is not a mask of the 5 vertices"),
+    ((0b00101, 0b01010, 1 << 5), "part 2 is not a mask of the 5 vertices"),
+])
+def test_context_rejects_masks_outside_the_vertices(parts, message):
+    # checked before any part is read bit by bit: bits(-1) never ends
+    with pytest.raises(ValueError, match=message):
+        CanonicalContext(cycle_graph(5), parts)
 
 
 def test_path_between_checks_its_context_once(monkeypatch):
@@ -356,21 +371,21 @@ def test_path_between_retains_a_bounded_cache():
 
 def test_complete_vertex_on_complete_bipartite():
     g = join(empty_graph(2), empty_graph(3))
-    ctx = maximal_first_partition(g, 2)
+    ctx = maximal_first_partition(g)
     x = complete_vertex(ctx, 1)
-    assert all(g.has_edge(x, u) for u in ctx.parts[1])
+    assert all(g.has_edge(x, u) for u in bits(ctx.masks[1]))
 
 
 def test_complete_vertex_vacuous_on_empty_part():
     g = path_graph(3)  # chi = 2, third part empty
-    ctx = maximal_first_partition(g, 3)
-    assert ctx.parts[2] == frozenset()
-    assert complete_vertex(ctx, 2) in ctx.parts[0]
+    ctx = maximal_first_partition(g)
+    assert ctx.masks[2] == 0
+    assert ctx.masks[0] >> complete_vertex(ctx, 2) & 1
 
 
 def test_complete_vertex_reports_2k2_witness():
     g = complement(b_t(3).graph)  # K_{3,3} minus a perfect matching contains 2K2
-    ctx = CanonicalContext(g, (frozenset({0, 1, 2}), frozenset({3, 4, 5})))
+    ctx = CanonicalContext(g, masks({0, 1, 2}, {3, 4, 5}, ()))
     with pytest.raises(ValueError, match="2K2"):
         complete_vertex(ctx, 1)
 
@@ -380,18 +395,18 @@ def test_complete_vertex_reports_2k2_witness():
 
 def test_bipartite_canonical_single_move_each():
     g = cycle_graph(4)
-    ctx = maximal_first_partition(g, 2)
+    ctx = maximal_first_partition(g)
     beta = colouring([0, 1, 2, 1], 3)
     seq = bipartite_canonical_moves(ctx, beta, 3)
     assert seq.max_per_vertex() <= 1
     end = seq.end_colours()
-    assert len({end[v] for v in ctx.parts[0]}) == 1
-    assert len({end[v] for v in ctx.parts[1]}) == 1
+    assert len({end[v] for v in bits(ctx.masks[0])}) == 1
+    assert len({end[v] for v in bits(ctx.masks[1])}) == 1
 
 
 def test_bipartite_exhaustive_families():
     for g in (cycle_graph(4), join(empty_graph(3), empty_graph(3)), path_graph(4)):
-        ctx = maximal_first_partition(g, 2)
+        ctx = maximal_first_partition(g)
         for ell in (3, 4):
             for vec in proper_colour_vectors(g, ell):
                 seq = bipartite_canonical_moves(ctx, colouring(vec, ell), ell)
@@ -400,16 +415,22 @@ def test_bipartite_exhaustive_families():
 
 def test_bipartite_rejects_2k2_graph():
     g = path_graph(5)  # the two end edges form an induced 2K2
-    ctx = maximal_first_partition(g, 2)
+    ctx = maximal_first_partition(g)
     with pytest.raises(ValueError, match="2K2"):
         bipartite_canonical_moves(ctx, colouring([0, 1, 0, 1, 0], 3), 3)
+
+
+def test_bipartite_rejects_three_part_context():
+    g, ctx = c5_ctx()
+    with pytest.raises(ValueError, match="need a two-part context"):
+        bipartite_canonical_moves(ctx, colouring([0, 1, 0, 1, 2], 4), 4)
 
 
 # -- monochromatic-part canonicalisation --------------------------------------------
 
 
 def c5_ctx():
-    return cycle_graph(5), maximal_first_partition(cycle_graph(5), 3)
+    return cycle_graph(5), maximal_first_partition(cycle_graph(5))
 
 
 def single_colour_part(ctx, vec, i, ell=4):
@@ -443,7 +464,7 @@ def test_single_colour_part_handles_stray_vertices():
 def test_single_colour_part_already_canonical_is_a_renaming():
     g, ctx = c5_ctx()
     rec, end = single_colour_part(ctx, [3, 0, 3, 0, 1], 0)  # canonical partition, part 0 on colour 3
-    assert all(rec.counts()[v] == 0 for v in ctx.parts[0])
+    assert all(rec.counts()[v] == 0 for v in bits(ctx.masks[0]))
     assert max(rec.counts()) <= 2  # pure renaming of the other two parts
     assert end == [3, 0, 3, 0, 1]
 
@@ -465,13 +486,13 @@ def test_single_colour_part_exhaustive_c5():
     hit = 0
     for vec in proper_colour_vectors(g, 4):
         for i in range(3):
-            if len({vec[v] for v in ctx.parts[i]}) != 1:
+            if len({vec[v] for v in bits(ctx.masks[i])}) != 1:
                 continue
             hit += 1
             rec, end = single_colour_part(ctx, vec, i)
             counts = rec.counts()
-            assert all(counts[v] == 0 for v in ctx.parts[i])
-            assert all(len({end[v] for v in part}) == 1 for part in ctx.parts if part)
+            assert all(counts[v] == 0 for v in bits(ctx.masks[i]))
+            assert all(len({end[v] for v in bits(part)}) == 1 for part in ctx.masks if part)
             assert verify_moves(g, MoveSequence(colouring(vec, 4), tuple(rec.moves), 4)).valid
     assert hit > 100
 
@@ -483,22 +504,22 @@ def assert_canonical_run(g, ctx, beta, ell):
     seq = canonical_moves(ctx, beta, ell)
     assert seq.max_per_vertex() <= 6
     end = seq.end_colours()
-    for colour, part in enumerate(ctx.parts):
-        assert all(end[v] == colour for v in part)
+    for colour, part in enumerate(ctx.masks):
+        assert all(end[v] == colour for v in bits(part))
     return seq
 
 
 def test_canonical_dominating_vertex_shortcut():
     # the paw: vertex 1 is adjacent to everything outside its part
     g = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3)])
-    ctx = maximal_first_partition(g, 3)
+    ctx = maximal_first_partition(g)
     assert_canonical_run(g, ctx, colouring([0, 1, 2, 3], 4), 4)
 
 
 def test_canonical_equal_anchor_colours():
     # both complete vertices share a colour: the first part monochromes at once
     g = graph_from_edges(5, [(0, 3), (0, 4), (1, 2), (1, 4), (2, 3)])
-    ctx = maximal_first_partition(g, 3)
+    ctx = maximal_first_partition(g)
     x2, x3 = complete_vertex(ctx, 1), complete_vertex(ctx, 2)
     assert x2 != x3
     beta = colouring([0, 1, 0, 1, 2], 4)
@@ -514,13 +535,13 @@ def test_canonical_case_staging_leaves_first_part_colour():
          (3, 4), (3, 5), (4, 5), (4, 7), (5, 7), (6, 7)],
     )
     assert find_induced(g, "2K2") is None
-    ctx = maximal_first_partition(g, 3)
+    ctx = maximal_first_partition(g)
     assert_canonical_run(g, ctx, colouring([0, 2, 3, 3, 2, 1, 2, 0], 4), 4)
 
 
 def test_canonical_case_colour_missing_from_a_part():
     g = graph_from_edges(5, [(0, 3), (0, 4), (1, 2), (1, 4), (2, 3)])
-    ctx = maximal_first_partition(g, 3)
+    ctx = maximal_first_partition(g)
     assert_canonical_run(g, ctx, colouring([0, 0, 1, 2, 1], 4), 4)
 
 
@@ -532,15 +553,21 @@ def test_canonical_case_both_extras_on_both_parts():
          (1, 5), (1, 7), (2, 5), (2, 6), (3, 6), (4, 5), (4, 6), (4, 7)],
     )
     assert find_induced(g, "2K2") is None
-    ctx = maximal_first_partition(g, 3)
+    ctx = maximal_first_partition(g)
     assert_canonical_run(g, ctx, colouring([2, 3, 1, 0, 2, 0, 3, 1], 4), 4)
 
 
 def test_canonical_rejects_wrong_chromatic_number():
-    g = cycle_graph(4)
-    ctx3 = CanonicalContext(g, (frozenset({0, 2}), frozenset({1, 3}), frozenset()))
+    g = cycle_graph(4)  # three nonempty parts on a bipartite graph
+    ctx3 = CanonicalContext(g, masks({0, 2}, {1}, {3}))
     with pytest.raises(ValueError, match="3-chromatic"):
         canonical_moves(ctx3, colouring([0, 1, 0, 1], 4), 4)
+
+
+def test_canonical_rejects_bipartite_context():
+    ctx = maximal_first_partition(cycle_graph(4))
+    with pytest.raises(ValueError, match="need a three-part context"):
+        canonical_moves(ctx, colouring([0, 1, 0, 1], 4), 4)
 
 
 def test_canonical_rejects_small_budget():
@@ -645,3 +672,46 @@ def test_path_property_small_graphs(mask, seed):
     assert seq.max_per_vertex() <= bound
     assert seq.end_colours() == gamma.to_colours()
     assert verify_moves(g, seq).valid
+
+
+def random_colouring(rng, g, ell):
+    """A permuted minimum colouring followed by 2n random proper moves."""
+    chi, witness = chromatic_number(g)
+    palette = rng.sample(range(ell), chi)
+    cols = [palette[c] for c in witness.to_colours()]
+    for _ in range(2 * g.n):
+        v = rng.randrange(g.n)
+        cols[v] = rng.choice([c for c in range(ell)
+                              if all(cols[u] != c for u in bits(g.rows[v]))])
+    return colouring(cols, ell)
+
+
+def test_stage_moves_are_never_noops(monkeypatch):
+    # a stage paints only the vertices not yet on the colour, so every move the
+    # recorder sees, in a stage or in the seal's replay, changes a colour
+    noops = []
+    step = recolour._Recorder.step
+
+    def checked(rec, v, c):
+        if rec.cols[v] == c:
+            noops.append((v, c))
+        return step(rec, v, c)
+
+    monkeypatch.setattr(recolour._Recorder, "step", checked)
+    rng = random.Random(21)
+    graphs = [CHAIN, CASE_2B, cycle_graph(5), join(empty_graph(3), empty_graph(3))]
+    while len(graphs) < 16:
+        g = graph_from_mask(7, rng.getrandbits(21))
+        if find_induced(g, "2K2") is None and chromatic_number(g)[0] <= 3:
+            graphs.append(g)
+    walks = 0
+    for g in graphs:
+        for ell in (4, 5):
+            for _ in range(4):
+                beta, gamma = random_colouring(rng, g, ell), random_colouring(rng, g, ell)
+                walks += len(path_between(g, beta, gamma, ell)) > 0
+                perm = rng.sample(range(ell), ell)
+                start = random_colouring(rng, g, ell - 1).to_colours()  # leaves a spare colour
+                rename_moves(g, colouring(start, ell), colouring([perm[c] for c in start], ell), ell)
+    assert walks > 100
+    assert noops == []

@@ -25,7 +25,6 @@ from frozencol.solvers import chromatic_number
 from frozencol.transform import (
     subdivide_edge,
     subdivide_with_certificates,
-    theta_increment_check,
     with_theta_check,
 )
 
@@ -145,10 +144,8 @@ def test_invalid_certificates_rejected():
 def test_theta_increment():
     me = me_complement(2)
     res = subdivide_with_certificates(me.graph, me.canonical, me.frozen, U1, U2)
-    assert theta_increment_check(res, me.graph, 4)
-    assert not theta_increment_check(res, me.graph, 3)
-    filled = with_theta_check(res, me.graph, 4)
-    assert filled.theta_incremented is True
+    assert with_theta_check(res, me.graph, 4).theta_incremented is True
+    assert with_theta_check(res, me.graph, 3).theta_incremented is False
     assert res.theta_incremented is None
 
 
@@ -162,7 +159,7 @@ def test_iterated_subdivision_matches_chain_builder():
     for t in range(5, 9):
         res = subdivide_with_certificates(g, q, f, U1, y)
         assert res.case_used == 1
-        assert theta_increment_check(res, g, t - 1)
+        assert with_theta_check(res, g, t - 1).theta_incremented
         g, q, f = res.graph_out, res.q_out, res.f_out
         y = g.n - 2  # next step reuses the vertex u just added
         direct = chain_complement(t)
