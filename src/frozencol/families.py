@@ -6,6 +6,10 @@ partition, and the expected invariant values. Instances are verified at
 construction time: partitions re-checked, counts and edge totals compared,
 witness independent sets tested, C4 presence/absence confirmed.
 
+H and CHAIN are the paper's subdivision iterated, from b_t and from ME(2):
+each step runs the unchecked kernel of `transform`, and the final instance
+is re-checked once, like every other family.
+
 Shared layout for the necklace-style families: spine vertices u_0..u_{q+1}
 first, then triangle vertices v_11, v_12, v_13, ..., v_q3 in Hamiltonian
 cycle order.
@@ -21,7 +25,7 @@ from .partitions import (
     is_clique_partition,
     is_frozen_clique_partition,
 )
-from .transform import subdivide_with_certificates
+from .transform import _split
 
 
 @dataclass(frozen=True)
@@ -322,90 +326,65 @@ def b_t(t: int) -> FamilyInstance:
     )
 
 
+def _subdivided(base: FamilyInstance, family: str, param: int,
+                splits: list[tuple[int, int]], case: int,
+                labels: tuple[str, ...] | None = None, **expected) -> FamilyInstance:
+    """base with each edge of splits subdivided in turn, re-checked once.
+
+    Every split must move the frozen blocks by the given case. The alpha
+    witness gains u when x lies outside it and v otherwise; u's one old
+    neighbour is x and v's is y, and x, y are adjacent, so it stays
+    independent.
+    """
+    g, q, f = base.graph, base.canonical, base.frozen
+    witness = base.expected.alpha_witness
+    for x, y in splits:
+        u = g.n
+        g, q, f, used = _split(g, q, f, x, y)
+        require(used == case, f"subdividing ({x}, {y}) left case {case}")
+        witness += (u + 1,) if x in witness else (u,)
+    if labels is not None:
+        g = Graph(g.n, g.rows, labels)
+    return _verified(FamilyInstance(family, param, g, q, f,
+                                    Expected(alpha_witness=witness, **expected)))
+
+
 def h_t_complement(t: int) -> FamilyInstance:
     """b_t with every matching edge but the first subdivided.
 
-    Each subdivision runs through the certificate transport (the matching
-    pair {a_i, b_i} is a frozen block, so case 2 applies every time), which
-    kills every C4 of the input and leaves t+1 cover blocks and 2t-1 frozen
-    blocks on 4t-2 vertices.
+    The paper's operation iterated from b_t: each matching pair {a_i, b_i}
+    is a frozen block, so case 2 applies every time. That kills every C4 of
+    the input and leaves t+1 cover blocks and 2t-1 frozen blocks on 4t-2
+    vertices.
     """
     if t < 3:
         raise ValueError(f"t must be at least 3, got {t}")
-    base = b_t(t)
-    g, q, f = base.graph, base.canonical, base.frozen
-    for i in range(1, t):  # subdivide a_{i+1} b_{i+1}, keeping a_1 b_1
-        result = subdivide_with_certificates(g, q, f, i, t + i, strict_c4=True)
-        require(result.case_used == 2, "subdivision of a matching edge left case 2")
-        g, q, f = result.graph_out, result.q_out, result.f_out
-    witness = (0, t + 1) + tuple(2 * t + 2 * s for s in range(t - 1))
-    return _verified(
-        FamilyInstance(
-            family="H",
-            param=t,
-            graph=g,
-            canonical=q,
-            frozen=f,
-            expected=Expected(
-                n=4 * t - 2,
-                edges=t * t + 2 * (t - 1),
-                theta=t + 1,
-                alpha=t + 1,
-                frozen_blocks=2 * t - 1,
-                c4_free=True,
-                alpha_witness=witness,
-            ),
-        )
+    return _subdivided(
+        b_t(t), "H", t, [(i, t + i) for i in range(1, t)], case=2,
+        n=4 * t - 2, edges=t * t + 2 * (t - 1), theta=t + 1, alpha=t + 1,
+        frozen_blocks=2 * t - 1, c4_free=True,
     )
 
 
 def chain_complement(t: int) -> FamilyInstance:
-    """me_complement(2) with the spine edge u1 u2 subdivided 2(t-4) times."""
+    """me_complement(2) with the spine edge u1 u2 subdivided t-4 times.
+
+    The paper's operation iterated from ME(2), each time on the edge from
+    the vertex the last split added to u2; case 1 applies every time. The
+    new vertices w1..w{2(t-4)} make a path from u1 to u2, and the result has
+    t cover blocks and t+1 frozen blocks.
+    """
     if t < 4:
         raise ValueError(f"t must be at least 4, got {t}")
     base = me_complement(2)
-    w_count = 2 * (t - 4)
-    n = base.graph.n + w_count
-    u1, u2 = 1, 2
-
-    def w(k: int) -> int:  # k = 1..w_count
-        return base.graph.n + k - 1
-
-    edges = [e for e in base.graph.edges() if e != (u1, u2)]
-    if w_count:
-        path = [u1] + [w(k) for k in range(1, w_count + 1)] + [u2]
-        edges += [(path[s], path[s + 1]) for s in range(len(path) - 1)]
-    else:
-        edges.append((u1, u2))
-    labels = list(base.graph.labels) + [f"w{k}" for k in range(1, w_count + 1)]
-    canonical = BlockPartition(
-        list(base.canonical.blocks)
-        + [{w(2 * i - 1), w(2 * i)} for i in range(1, t - 3)]
-    )
-    frozen = BlockPartition(
-        list(base.frozen.blocks)
-        + [{w(2 * i - 1), w(2 * i)} for i in range(1, t - 3)]
-    )
-    witness = tuple(base.expected.alpha_witness) + tuple(
-        w(2 * i - 1) for i in range(1, t - 3)
-    )
-    return _verified(
-        FamilyInstance(
-            family="CHAIN",
-            param=t,
-            graph=graph_from_edges(n, edges, labels),
-            canonical=canonical,
-            frozen=frozen,
-            expected=Expected(
-                n=2 * t + 2,
-                edges=2 * t + 6,
-                theta=t,
-                alpha=t,
-                frozen_blocks=t + 1,
-                c4_free=True,
-                alpha_witness=witness,
-            ),
-        )
+    n = base.graph.n
+    # the first split cuts u1 u2, each later one the edge from the last v to u2
+    splits = [(n + 2 * s - 1 if s else 1, 2) for s in range(t - 4)]
+    labels = base.graph.labels + tuple(f"w{k}" for k in range(1, 2 * (t - 4) + 1))
+    return _subdivided(
+        base, "CHAIN", t, splits, case=1, labels=labels,
+        n=2 * t + 2, edges=2 * t + 6, theta=t, alpha=t, frozen_blocks=t + 1,
+        c4_free=True,
     )
 
 

@@ -259,18 +259,25 @@ def _find_k3(g: Graph) -> tuple[int, ...] | None:
     return None
 
 
+def _non_adjacent_pair(g: Graph, mask: int) -> tuple[int, int] | None:
+    """Lowest a in mask with a non-neighbour above it in mask, and the lowest
+    such b: two non-adjacent common neighbours when mask is N(x) & N(y)."""
+    for a in bits(mask):
+        rest = mask & ~g.rows[a] & ~((1 << (a + 1)) - 1)
+        if rest:
+            return a, (rest & -rest).bit_length() - 1
+    return None
+
+
 def _find_c4(g: Graph) -> tuple[int, ...] | None:
     # Induced C4 = non-adjacent u,v with two non-adjacent common neighbours.
     full = (1 << g.n) - 1
     for u in range(g.n):
         non = full & ~g.rows[u] & ~((1 << (u + 1)) - 1)
         for v in bits(non):
-            common = g.rows[u] & g.rows[v]
-            for a in bits(common):
-                rest = common & ~g.rows[a] & ~((1 << (a + 1)) - 1)
-                if rest:
-                    b = (rest & -rest).bit_length() - 1
-                    return tuple(sorted((u, a, v, b)))
+            pair = _non_adjacent_pair(g, g.rows[u] & g.rows[v])
+            if pair:
+                return tuple(sorted((u, v, *pair)))
     return None
 
 
@@ -324,12 +331,9 @@ def _find_p5(g: Graph) -> tuple[int, ...] | None:
 
 def _find_diamond(g: Graph) -> tuple[int, ...] | None:
     for x, y in g.edges():
-        common = g.rows[x] & g.rows[y]
-        for a in bits(common):
-            rest = common & ~g.rows[a] & ~((1 << (a + 1)) - 1)
-            if rest:
-                b = (rest & -rest).bit_length() - 1
-                return tuple(sorted((x, y, a, b)))
+        pair = _non_adjacent_pair(g, g.rows[x] & g.rows[y])
+        if pair:
+            return tuple(sorted((x, y, *pair)))
     return None
 
 
@@ -364,11 +368,7 @@ def is_diamond_middle_edge(g: Graph, x: int, y: int) -> bool:
     """
     if not g.has_edge(x, y):
         raise ValueError(f"({x}, {y}) is not an edge")
-    common = g.rows[x] & g.rows[y]
-    for a in bits(common):
-        if common & ~g.rows[a] & ~((1 << (a + 1)) - 1):
-            return True
-    return False
+    return _non_adjacent_pair(g, g.rows[x] & g.rows[y]) is not None
 
 
 # -- isomorphism -------------------------------------------------------------

@@ -21,11 +21,15 @@ class BlockPartition:
     __slots__ = ("k", "_cols", "_masks")
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
+        blocks = [tuple(b) for b in blocks]
+        # a partition of 0..n-1 lists n ids, so a larger id is refused before it
+        # is shifted into a mask
+        n = sum(map(len, blocks))
         masks, seen = [], 0
         for i, b in enumerate(blocks):
             mask = 0
             for v in b:
-                if v < 0:
+                if not 0 <= v < n:
                     raise ValueError("blocks must partition a contiguous range 0..n-1")
                 mask |= 1 << v
             if mask & seen:

@@ -98,16 +98,13 @@ class SearchReport:
     skipped: int
     runtime: float
 
-    def to_json(self, include_runtime: bool = False) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "graphs_scanned": self.graphs_scanned,
             "hits": [h.to_json() for h in self.hits],
             "dedup_count": self.dedup_count,
             "skipped": self.skipped,
         }
-        if include_runtime:
-            out["runtime"] = self.runtime
-        return out
 
 
 def _passes_filters(g: Graph, spec: PredicateSpec) -> bool:

@@ -8,6 +8,10 @@ frozen block, it is replaced by {x,u} and {v,y} (case 2). The colouring-side
 operation, expanding a non-edge xy of G, is this construction read in the
 complement: complement G, subdivide xy with the same certificates, complement
 the result. The blocks then read as colour classes.
+
+`_split` is the one place that rewires the edge and moves the blocks, with
+no check. `subdivide_with_certificates` wraps it in checks of its inputs and
+outputs; the H and CHAIN families iterate it and check the end result once.
 """
 
 from __future__ import annotations
@@ -46,16 +50,30 @@ def subdivide_edge(h: Graph, x: int, y: int) -> Graph:
     return Graph(n + 2, rows, labels + (f"u@{n}", f"v@{n}"))
 
 
-def _detect_case(f: BlockPartition, x: int, y: int) -> int:
-    fx, fy = f.block_of(x), f.block_of(y)
-    if fx == fy:
+def _split(h: Graph, q: BlockPartition, f: BlockPartition, x: int, y: int
+           ) -> tuple[Graph, BlockPartition, BlockPartition, int]:
+    """Subdivide xy and transport q and f, checking neither: (graph, q, f, case).
+
+    With u = n and v = n+1, {u,v} becomes a new block of q; f gains {u,v}
+    (case 1) or trades its block {x,y} for {x,u} and {v,y} (case 2).
+    """
+    fx, case = f.block_of(x), 1
+    if fx == f.block_of(y):
         block = f.block_masks()[fx]
         if block != 1 << x | 1 << y:
             raise ValueError(
                 f"x and y share frozen block {list(bits(block))}; neither case applies"
             )
-        return 2
-    return 1
+        case = 2
+    out = subdivide_edge(h, x, y)
+    u, v = h.n, h.n + 1
+    q_out = BlockPartition(list(q.blocks) + [{u, v}])
+    if case == 1:
+        f_out = BlockPartition(list(f.blocks) + [{u, v}])
+    else:
+        kept = [bits(b) for b in f.block_masks() if b != 1 << x | 1 << y]
+        f_out = BlockPartition(kept + [{x, u}, {v, y}])
+    return out, q_out, f_out, case
 
 
 def subdivide_with_certificates(
@@ -81,18 +99,9 @@ def subdivide_with_certificates(
         raise ValueError("x and y share a block of q")
     if not is_frozen_clique_partition(h, f):
         raise ValueError("f is not a frozen clique partition")
-    case_used = _detect_case(f, x, y)
+    out, q_out, f_out, case_used = _split(h, q, f, x, y)
     if strict_c4 and case_used == 1 and is_diamond_middle_edge(h, x, y):
         raise ValueError(f"({x}, {y}) is the middle edge of a diamond")
-
-    out = subdivide_edge(h, x, y)
-    u, v = h.n, h.n + 1
-    q_out = BlockPartition(list(q.blocks) + [{u, v}])
-    if case_used == 1:
-        f_out = BlockPartition(list(f.blocks) + [{u, v}])
-    else:
-        kept = [bits(b) for b in f.block_masks() if b != 1 << x | 1 << y]
-        f_out = BlockPartition(kept + [{x, u}, {v, y}])
     require(q_out.k == q.k + 1 and f_out.k == f.k + 1, "transport did not add one block")
     require(is_clique_partition(out, q_out), "transported q certificate failed verification")
     require(is_frozen_clique_partition(out, f_out),

@@ -4,8 +4,12 @@ A public module-level function or class, or a public method, must be used in
 its own module beyond its definition, in another frozencol module, in the
 benchmark's perfbench/*.py, or in README.md. A name only the tests reach is
 library code without a program consumer, and goes. In the package, a use is a
-name, an attribute or an import in the code; the benchmark names its tracer
-targets in strings and the README in prose, so those are searched as text.
+name or an import in the code; an attribute read counts for a method, and for
+a module-level name only when it is read off a frozencol module (`str.join`
+does not use `graph.join`). In the benchmark, a use is an import from
+frozencol, an attribute of a frozencol module, or an entry of the tracer's
+TARGETS; its own helpers of the same name do not count. The README names
+things in prose, so it is searched as text.
 """
 
 import ast
@@ -20,7 +24,10 @@ ALLOWED = {
     "empty_graph": "constructors the tests build graphs with",
     "complete_graph": "constructors the tests build graphs with",
     "path_graph": "constructors the tests build graphs with",
+    "join": "constructors the tests build graphs with",
+    "relabel": "constructors the tests build graphs with",
 }
+MODULES = {path.stem for path in SRC.glob("*.py")}
 
 
 def _is_command(node: ast.AST) -> bool:
@@ -46,34 +53,71 @@ def _public_defs(tree: ast.Module):
                     yield item.name, True
 
 
-def _code_uses(tree: ast.Module) -> tuple[set[str], set[str]]:
-    """(names and imported names, attribute names) read in a module's code."""
-    names, attrs = set(), set()
+def _dotted(node: ast.AST) -> str | None:
+    """'a.b.c' for a chain of attribute reads on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def _code_uses(tree: ast.Module) -> tuple[set[str], set[str], set[str], set[str]]:
+    """(names imported from frozencol, names read, attribute names read, and
+    attribute names read off a frozencol module) in a module's code."""
+    imported, names, modules = set(), set(), {"frozencol"}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names
+                        if a.name.split(".")[0] == "frozencol"}
+        elif isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").split(".")[0] == "frozencol":
+                imported |= {a.name for a in node.names}
+                modules |= {a.asname or a.name for a in node.names if a.name in MODULES}
+        elif isinstance(node, ast.Name):
             names.add(node.id)
-        elif isinstance(node, ast.alias):
-            names.add(node.name)
-        elif isinstance(node, ast.Attribute):
+    attrs, module_attrs = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
             attrs.add(node.attr)
-    return names, attrs
+            if _dotted(node.value) in modules:
+                module_attrs.add(node.attr)
+    return imported, names, attrs, module_attrs
+
+
+def _bench_uses() -> set[str]:
+    """Names the benchmark imports from frozencol, reads off a frozencol
+    module, or traces: each part of a TARGETS attribute such as
+    "BlockPartition.from_colours"."""
+    used = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported, _, _, module_attrs = _code_uses(tree)
+        used |= imported | module_attrs
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+                for _, attr, _ in ast.literal_eval(node.value):
+                    used |= set(attr.split("."))
+    return used
 
 
 def _unused() -> list[str]:
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
     uses = {name: _code_uses(tree) for name, tree in trees.items()}
-    text = "\n".join(path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py")))
-    text += (ROOT / "README.md").read_text()
+    bench = _bench_uses()
+    readme = (ROOT / "README.md").read_text()
     unused = []
     for module, tree in trees.items():
         for name, method in _public_defs(tree):
-            if name in ALLOWED or re.search(rf"\b{name}\b", text):
+            if name in ALLOWED or name in bench or re.search(rf"\b{name}\b", readme):
                 continue
-            # a method is reached through an attribute; a function or class by
-            # its name, an import, or an attribute of its module
-            if not any(name in attrs or (not method and name in names)
-                       for names, attrs in uses.values()):
+            # a method is reached through any attribute; a function or class by
+            # its name, an import, or an attribute of a frozencol module
+            if not any(name in (attrs if method else imported | names | module_attrs)
+                       for imported, names, attrs, module_attrs in uses.values()):
                 unused.append(f"{module}: {name}")
     return unused
 

@@ -166,6 +166,21 @@ def test_check_k_must_match_json_partition(runner, c5_path, tmp_path):
     assert same.output == "PASS: proper colouring\n"
 
 
+HUGE_ID = 9999999999999999999
+
+
+def test_check_json_vertex_id_above_order_is_usage_error(runner, tmp_path):
+    # refused before the id is shifted into a block mask
+    c3, part = tmp_path / "c3.g6", tmp_path / "part.json"
+    c3.write_text(encode_graph6(cycle_graph(3)) + "\n")
+    part.write_text(json.dumps({"k": 2, "blocks": [[0, 1], [HUGE_ID]]}))
+    result = runner.invoke(main, ["check", str(c3), str(part)])
+    assert result.exit_code == 2
+    assert result.stderr == (f"error: cannot parse partition {part}: "
+                             "blocks must partition a contiguous range 0..n-1\n")
+    assert "Traceback" not in result.output
+
+
 def test_check_unreadable_graph_is_usage_error(runner, tmp_path):
     result = runner.invoke(main, ["check", str(tmp_path / "absent.g6"), ME2_LEFT])
     assert result.exit_code == 2
@@ -294,6 +309,20 @@ def test_subdivide_with_certificates(runner, tmp_path):
     assert data["theta_incremented"] is True
     f = BlockPartition.from_json(data["frozen_partition"])
     assert is_frozen_clique_partition(g, f)
+
+
+def test_subdivide_certs_vertex_id_above_order_is_usage_error(runner, c5_path, tmp_path):
+    certs = tmp_path / "certs.json"
+    certs.write_text(json.dumps({
+        "clique_partition": {"k": 2, "blocks": [[0, 1, 2, 3], [HUGE_ID]]},
+        "frozen_partition": {"k": 5, "blocks": [[v] for v in range(5)]},
+    }))
+    result = runner.invoke(main, ["subdivide", c5_path, "--x", "0", "--y", "1",
+                                  "--certs", str(certs)])
+    assert result.exit_code == 2
+    assert result.stderr == (f"error: bad certificate file {certs}: "
+                             "blocks must partition a contiguous range 0..n-1\n")
+    assert "Traceback" not in result.output
 
 
 def test_subdivide_rechecks_transported_certificates(runner, tmp_path, monkeypatch):
@@ -592,6 +621,8 @@ def _cli_cases(tmp: Path) -> list[tuple]:
     (tmp / "corrupt.txt").write_text("many\n")
     s, c5s, c6s = str(tmp / "stream.g6"), str(c5), str(c6)
     me = ["family", "--name", "ME", "--q", "2"]
+    chain = ["family", "--name", "CHAIN", "--q", "6"]
+    h4 = ["family", "--name", "H", "--q", "4"]
     cases = [("help", ["--help"], None, {}, {})]
     cases += [(f"{sub}-help", [sub, "--help"], None, {}, {}) for sub in SUBCOMMANDS]
     cases += [
@@ -601,6 +632,10 @@ def _cli_cases(tmp: Path) -> list[tuple]:
         ("family-dimacs", ["family", "--name", "KE", "--q", "1", "--format", "dimacs"],
          None, {}, {}),
         ("family-star", ["family", "--name", "ME*", "--q", "2"], None, {}, {}),
+        ("family-chain-json", chain, None, {}, {}),
+        ("family-chain-graph6", chain + ["--format", "graph6"], None, {}, {}),
+        ("family-h-json", h4, None, {}, {}),
+        ("family-h-graph6", h4 + ["--format", "graph6"], None, {}, {}),
         ("family-out", me + ["--out", str(tmp / "me2.json")], None, {}, {}),
         ("family-unknown", ["family", "--name", "NOPE", "--q", "2"], None, {}, {}),
         ("family-bad-q", ["family", "--name", "ME", "--q", "1"], None, {}, {}),

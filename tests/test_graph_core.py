@@ -17,6 +17,7 @@ from frozencol.graph import (
     PATTERNS,
     Graph,
     are_isomorphic,
+    bits,
     complement,
     complete_graph,
     cycle_graph,
@@ -186,6 +187,40 @@ def test_find_2k2_matches_edge_pair_scan(n, p, seed):
     g = random_graph(random.Random(seed), n, p)
     for h in (g, complement(g)):
         assert find_induced(h, "2K2") == _reference_find_2k2(h)
+
+
+def _reference_find_c4(g):
+    # the finders before they shared one common-neighbour scan
+    full = (1 << g.n) - 1
+    for u in range(g.n):
+        non = full & ~g.rows[u] & ~((1 << (u + 1)) - 1)
+        for v in bits(non):
+            common = g.rows[u] & g.rows[v]
+            for a in bits(common):
+                rest = common & ~g.rows[a] & ~((1 << (a + 1)) - 1)
+                if rest:
+                    b = (rest & -rest).bit_length() - 1
+                    return tuple(sorted((u, a, v, b)))
+    return None
+
+
+def _reference_find_diamond(g):
+    for x, y in g.edges():
+        common = g.rows[x] & g.rows[y]
+        for a in bits(common):
+            rest = common & ~g.rows[a] & ~((1 << (a + 1)) - 1)
+            if rest:
+                b = (rest & -rest).bit_length() - 1
+                return tuple(sorted((x, y, a, b)))
+    return None
+
+
+@settings(max_examples=300)
+@given(graphs(max_n=9))
+def test_c4_and_diamond_finders_match_reference(g):
+    for h in (g, complement(g)):
+        assert find_induced(h, "C4") == _reference_find_c4(h)
+        assert find_induced(h, "DIAMOND") == _reference_find_diamond(h)
 
 
 def test_diamond_middle_edge():
@@ -524,7 +559,9 @@ def _run_optimised(code: str, tmp_path: Path) -> subprocess.CompletedProcess:
     script = tmp_path / "probe.py"
     script.write_text("import sys\nif not sys.flags.optimize:\n"
                       "    raise SystemExit('asserts are live')\n" + code)
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    # src goes first; the caller's PYTHONPATH may be where click comes from
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run([sys.executable, "-O", str(script)], env=env,
                           capture_output=True, text=True, timeout=120)
 

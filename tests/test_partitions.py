@@ -59,6 +59,8 @@ def test_blocks_validate():
         BlockPartition([{0, 2}])  # gap
     with pytest.raises(ValueError):
         BlockPartition([{-1, 0}])
+    with pytest.raises(ValueError, match="contiguous range"):
+        BlockPartition([{0, 1}, {9999999999999999999}])  # refused before the shift
 
 
 def test_empty_blocks_and_order():

@@ -185,7 +185,6 @@ def test_report_json_round_trip_shape():
     assert data["hits"][0]["chi"] == 2
     assert data["hits"][0]["k"] == 3
     assert "runtime" not in data
-    assert "runtime" in report.to_json(include_runtime=True)
 
 
 # --- exhaustive_small ---
