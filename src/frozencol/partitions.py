@@ -11,6 +11,8 @@ form, the blocks as frozensets included, is read off those two.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import permutations
+from operator import itemgetter
 
 from .graph import Graph, bits, complement
 
@@ -116,6 +118,29 @@ class BlockPartition:
     def __repr__(self) -> str:
         inner = ", ".join("{" + ",".join(map(str, bits(mask))) + "}" for mask in self._masks)
         return f"BlockPartition({inner})"
+
+
+def _renamings(p: BlockPartition) -> list[BlockPartition]:
+    """s(p) for every permutation s of range(p.k), in lex order of s.
+
+    Colour c of p becomes s[c]: the colour vector maps through s, and block c
+    moves to place s[c]. So each copy holds exactly what `from_colours` would
+    build from its vector, but is read off p's packed form instead. When p's
+    colours first appear in the order 0, 1, ..., k-1, the copies also come
+    in lex order of their colour vectors.
+    """
+    k, cols, masks = p.k, p._cols, p._masks
+    # itemgetter of one index returns the item itself, not a 1-tuple
+    vector = itemgetter(*cols) if len(cols) > 1 else lambda s: tuple(s[c] for c in cols)
+    out = []
+    for s in permutations(range(k)):
+        moved = [0] * k
+        for d, mask in zip(s, masks):
+            moved[d] = mask
+        q = object.__new__(BlockPartition)
+        q._store(vector(s), tuple(moved))
+        out.append(q)
+    return out
 
 
 def _proper(g: Graph, p: BlockPartition) -> bool:

@@ -17,10 +17,10 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
+from heapq import merge
 
 from .graph import CertificateError, Graph, require
-from .partitions import BlockPartition, is_frozen_colouring
+from .partitions import BlockPartition, _renamings, is_frozen_colouring
 
 DEFAULT_COLOURING_CAP = 2 * 10**7
 DEFAULT_UNION_CAP = 10**8
@@ -28,6 +28,23 @@ DEFAULT_UNION_CAP = 10**8
 
 class CapExceeded(RuntimeError):
     """A state-space walk crossed its configured budget."""
+
+
+def _refuse_injective_overflow(n: int, k: int, cap: int) -> None:
+    """Raise CapExceeded when k >= n >= 1 and k(k-1)...(k-n+1) exceeds cap.
+
+    Every injective colour vector is a proper k-colouring, and there are
+    k(k-1)...(k-n+1) of them, so a walk would cross the state cap too. This
+    answers before anything sized by k is built, so a huge k cannot exhaust
+    memory first. The product stops growing past the cap.
+    """
+    if n < 1 or k < n:
+        return
+    count = 1
+    for x in range(k, k - n, -1):
+        count *= x
+        if count > cap:
+            raise CapExceeded(f"more than {cap} proper colourings")
 
 
 class _Packing:
@@ -40,6 +57,7 @@ class _Packing:
     zero bits of its field of S; a full field carries into its guard bit
     when ONES is added, which prunes the branch. At a leaf, moves =
     FULL & ~(S | C) sets bit (k+1)*u + c iff u can be recoloured c.
+    Recolouring u from a to c adds (c - a) * weight[u] to the code.
     """
 
     def __init__(self, g: Graph, k: int):
@@ -50,8 +68,9 @@ class _Packing:
         self.ones = sum(1 << width * v for v in range(n))
         self.nbr_bits = [sum(1 << width * u for u in g.neighbour_list(v)) for v in range(n)]
         self.weight = [k ** (n - 1 - v) for v in range(n)]
-        # the place value in a code of the colour at bit p of a move mask
-        self.place = [p % width * self.weight[p // width] for p in range(n * width)]
+        # first[c]: the vertex where colour c first appears, in the state an
+        # orbit walk yielded last; overwritten between yields, like cols
+        self.first = [0] * min(n, k)
 
     def walk(self, cap: int = DEFAULT_COLOURING_CAP, orbits: bool = False):
         """Yield (code, cols, moves, lower) per proper colouring, in lex order.
@@ -62,20 +81,25 @@ class _Packing:
         colours first appear in the order 0, 1, 2, ...: a vertex may take
         at most one colour above those before it. Each is the lex-least
         member of its orbit under colour permutations, and each comes with a
-        fifth item, `used`, the number of colours it uses.
+        fifth item, `used`, the number of colours it uses. Colour c opens at
+        depth v exactly when c == used there, so the walk also keeps
+        `self.first`, whose first `used` entries are the first vertices of
+        colours 0..used-1.
         """
-        n, width, full, ones = self.n, self.width, (1 << self.k) - 1, self.ones
+        n, width, ones = self.n, self.width, self.ones
         if n == 0:
             yield (0, [], 0, 0, 0) if orbits else (0, [], 0, 0)
             return
-        nbr_bits, weight = self.nbr_bits, self.weight
+        full = (1 << self.k) - 1
+        nbr_bits, weight, first = self.nbr_bits, self.weight, self.first
         everything, guards = full * ones, ones << self.k
-        # the colours open to a vertex when those before it use 0..u-1
-        grow = [(2 << u) - 1 & full if orbits else full for u in range(self.k + 1)]
+        # the colours open to a vertex when those before it use 0..u-1, u <= n;
+        # without orbits every colour is open and used stays 0
+        grow = [(2 << u) - 1 & full for u in range(min(n, self.k) + 1)] if orbits else [full]
         last = n - 1
         shift_last, bits_last = width * last, nbr_bits[last]
         cols = [0] * n
-        # S, C, the code of the colours fixed and 1 + their largest colour, above each depth
+        # S, C, the code of the colours fixed and, with orbits, the colours used, above each depth
         seen, onehot, prefix, used = [0] * n, [0] * n, [0] * n, [0] * n
         avail = [grow[0]] + [0] * last
         count = 0
@@ -95,6 +119,8 @@ class _Packing:
                     col = c0 | b << shift_last
                     moves = everything & ~(s0 | bits_last << c | col)
                     if orbits:
+                        if c == u0:
+                            first[c] = last
                         yield x0 + c, cols, moves, moves & (col - ones), u0 + (c == u0)
                     else:
                         yield x0 + c, cols, moves, moves & (col - ones)
@@ -115,7 +141,11 @@ class _Packing:
             onehot[v + 1] = onehot[v] | b << width * v
             prefix[v + 1] = prefix[v] + c * weight[v]
             u = used[v]
-            used[v + 1] = u if c < u else c + 1
+            if c < u:
+                used[v + 1] = u
+            elif orbits:  # c == u: colour c opens at v
+                used[v + 1] = c + 1
+                first[c] = v
             v += 1
             avail[v] = ~(s >> width * v) & grow[used[v]]
 
@@ -129,14 +159,13 @@ class _Packing:
 
     def targets(self, code: int, cols, mask: int) -> list[int]:
         """Codes of the states the moves in mask lead to, in bit order."""
-        width, place = self.width, self.place
+        width, weight = self.width, self.weight
         out = []
         while mask:
             b = mask & -mask
             mask ^= b
-            p = b.bit_length() - 1
-            u = p // width
-            out.append(code + place[p] - place[u * width + cols[u]])
+            u, c = divmod(b.bit_length() - 1, width)
+            out.append(code + (c - cols[u]) * weight[u])
         return out
 
 
@@ -257,7 +286,10 @@ def reconfiguration_components(
     compared, against twice its value, with the running sum of orbit size
     times move count; every state of an orbit has as many moves, so that
     sum ends at 2|E(R_k)|. The verdicts are those of a walk over every
-    state that counts each edge once.
+    state that counts each edge once. Before the walk, when k >= n, the
+    state cap is compared with the k(k-1)...(k-n+1) injective colourings,
+    which are all proper, so a huge k is refused before anything sized by
+    k is built.
 
     Renaming. Let u be the first vertex of colour a in X and u' the next
     vertex of colour a (n when there is none), and let t be the largest
@@ -327,10 +359,23 @@ def reconfiguration_components(
     S lifts to r = k!/|Stab(K)| components, the images of K, each of S/r
     states. `_group_order` gives |Stab(K)| by Schreier–Sims.
 
-    A frozen colouring uses all k colours and has no moves. So each frozen
-    representative is a set of its own with a trivial stabiliser: k!
-    singleton components. Its k! colour vectors are expanded, sorted into
-    the order of a walk over every state and re-checked one by one.
+    Frozen states. A frozen colouring uses all k colours and has no moves.
+    So each frozen representative X is a set of its own with a trivial
+    stabiliser: k! singleton components, the states s(X) for the
+    permutations s of the colours. X is built and re-checked once; its
+    renamings are not checked again, since frozen-ness is invariant under
+    renaming. s maps the blocks of X one to one onto those of s(X), the same
+    vertex sets in another order. Properness, no empty block, and a
+    neighbour of every vertex in every block but its own depend only on
+    those vertex sets, so s(X) is frozen iff X is. The renamings also come
+    in walk order without a sort. X is restricted-growth and uses all k
+    colours, so colour c first appears at a vertex f_c, with f_0 < f_1 <
+    ... < f_{k-1}, and only colours below c come before f_c. Let s < t
+    lexicographically, first differing at c. Then s(X) and t(X) agree
+    before f_c, and at f_c they read s[c] < t[c]. So s(X) < t(X), and
+    `permutations(range(k))` yields the copies in lex order. Orbits are
+    disjoint, so merging the sorted runs of several representatives gives
+    every frozen state in the order of a walk over every state.
 
     A target's index comes from `codes`, the codes of the representatives
     in walk order. Codes grow along the walk, so `codes` is sorted and
@@ -340,12 +385,14 @@ def reconfiguration_components(
     the search. `codes` is an array('q') of 8 B a representative, or a
     plain list when k**n passes 2**63 and a code may not fit in 63 bits.
     """
+    _refuse_injective_overflow(g.n, k, colouring_cap)
     space = _Packing(g, k)
     union_cap = DEFAULT_UNION_CAP
     n, ones, nbr_bits, width = g.n, space.ones, space.nbr_bits, space.width
-    place, weight = space.place, space.weight
-    identity = tuple(range(k))
-    palette = list(identity)
+    weight, first = space.weight, space.first  # first: each used colour's first vertex
+    palette = list(range(min(n, k)))
+    # read only in sets whose representatives use all k colours, so k <= n there
+    identity = tuple(palette)
     orbit = [1]  # orbit[m]: the states a representative using m colours stands for
     for m in range(min(n, k)):
         orbit.append(orbit[-1] * (k - m))
@@ -395,7 +442,7 @@ def reconfiguration_components(
         used_of.append(used)
         surjective = used == k
         if surjective and not moves:
-            frozen_reps.append(tuple(cols))
+            frozen_reps.append(BlockPartition.from_colours(cols, k))
         picks = []
         u0 = c0 = -1  # the last lower move, b = (u0, c0), if there is one
         if lower:
@@ -409,7 +456,6 @@ def reconfiguration_components(
                     b = clash & -clash
                     clash ^= b
                     picks.append(b.bit_length() - 1)
-        first = [cols.index(a) for a in range(used)]  # each colour's first vertex
         after = cols + palette  # index(a, first[a] + 1) is a's second vertex, or n + a
         for a in range(used - 1):
             # upper moves at a's first vertex u, to the colours c with a < c <= top
@@ -419,7 +465,7 @@ def reconfiguration_components(
                 continue
             up = field >> a + 1 & (1 << used - a - 1) - 1
             if up:
-                top = bisect_left(first, after.index(a, u + 1), a + 1) - 1
+                top = bisect_left(first, after.index(a, u + 1), a + 1, used) - 1
                 up &= (1 << top - a) - 1
             if not up:
                 continue
@@ -439,15 +485,15 @@ def reconfiguration_components(
         for p in picks:
             u, c = divmod(p, width)
             a = cols[u]
-            y = code + place[p] - place[u * width + a]
+            w = weight[u]
+            y = code + (c - a) * w
             renaming = None
             if first[a] == u:
                 if mass is None:
                     mass = [0] * used
                     for v in range(n):
                         mass[cols[v]] += weight[v]
-                top = bisect_left(first, after.index(a, u + 1), a + 1) - 1
-                w = weight[u]
+                top = bisect_left(first, after.index(a, u + 1), a + 1, used) - 1
                 y += (top - a) * (mass[a] - w) - sum(mass[max(a, c) + 1 : top + 1])
                 if c > a:
                     y += (a - c) * (mass[c] + w)
@@ -507,10 +553,11 @@ def reconfiguration_components(
         copies = orbit[k] // _group_order(gens.get(r, ()), k) if r in labelled else 1
         sizes += [total // copies] * copies
     component_sizes = tuple(sorted(sizes, reverse=True))
-    vectors = sorted(tuple(s[c] for c in rep) for rep in frozen_reps for s in permutations(identity))
-    frozen = tuple(BlockPartition.from_colours(v_, k) for v_ in vectors)
-    require(all(is_frozen_colouring(g, p) for p in frozen), "isolated colouring is not frozen")
+    require(all(is_frozen_colouring(g, p) for p in frozen_reps),
+            "isolated colouring is not frozen")
     require(sum(component_sizes) == states, "component sizes miss a state")
+    runs = [_renamings(p) for p in frozen_reps]
+    frozen = tuple(merge(*runs, key=BlockPartition.to_colours))
     return ReconfigReport(
         k=k,
         colouring_count=states,
@@ -692,6 +739,7 @@ def find_frozen(g: Graph, k: int) -> BlockPartition | None:
 
 def reconfiguration_dot(g: Graph, k: int, cap: int = 10**4) -> str:
     """Render R_k(g) in DOT, nodes labelled by their colour vectors."""
+    _refuse_injective_overflow(g.n, k, cap)
     space = _Packing(g, k)
     codes = space.code_array()
     lines = ["graph reconfig {"]

@@ -261,6 +261,17 @@ def test_reconfig_bad_cap_env_var(runner, c6_path):
     assert result.exit_code == 2
 
 
+def test_reconfig_huge_k_exits_two_before_allocating(runner, tmp_path):
+    # 10^12 colours on K3: the injective colourings alone pass the default cap
+    c3 = tmp_path / "c3.g6"
+    c3.write_text(encode_graph6(cycle_graph(3)) + "\n")
+    result = runner.invoke(main, ["reconfig", str(c3), "--k", "1000000000000"],
+                           env={"FROZENCOL_CAP": None})
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.exit_code == 2
+    assert result.stderr == "cap exceeded: more than 20000000 proper colourings\n"
+
+
 @pytest.mark.parametrize("cap", ["0", "-4"])
 def test_reconfig_cap_flag_must_be_positive(runner, c6_path, cap):
     result = runner.invoke(main, ["reconfig", c6_path, "--k", "3", "--cap", cap])

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frozencol import reconfig
-from frozencol.families import b_t, ke_complement, me_complement
+from frozencol.families import b_t, chain_complement, ke_complement, me_complement
 from frozencol.graph import (
+    CertificateError,
     complement,
     complete_graph,
     cycle_graph,
@@ -132,6 +133,22 @@ def test_mixing_examples():
     assert reconfiguration_components(complete_graph(3), 3).component_count > 1
     me_original = complement(me_complement(2).graph)
     assert reconfiguration_components(me_original, 5).component_count > 1
+
+
+def test_injective_colourings_past_the_cap_raise_before_the_walk():
+    # k >= n: the k(k-1)...(k-n+1) injective colourings are all proper
+    k1 = complete_graph(1)
+    assert reconfiguration_components(k1, 5, colouring_cap=5).colouring_count == 5
+    assert reconfiguration_dot(k1, 5, cap=5).count("[label=") == 5
+    for k in (6, 10**12):
+        with pytest.raises(CapExceeded, match="^more than 5 proper colourings$"):
+            reconfiguration_components(k1, k, colouring_cap=5)
+        with pytest.raises(CapExceeded, match="^more than 5 proper colourings$"):
+            reconfiguration_dot(k1, k, cap=5)
+    # nothing sized by k is built first, so a huge k answers at once
+    with pytest.raises(CapExceeded, match=f"^more than {reconfig.DEFAULT_COLOURING_CAP} proper"):
+        reconfiguration_components(complete_graph(3), 10**12)
+    assert reconfiguration_components(graph_from_edges(0, []), 10**12).colouring_count == 1
 
 
 def test_truncation_flag_and_cap():
@@ -298,8 +315,11 @@ def test_orbit_walk_yields_the_lex_least_member_of_each_orbit(seed, n, k):
     full = {tuple(cols): (code, moves, lower) for code, cols, moves, lower in space.walk()}
     perms = list(itertools.permutations(range(k)))
     least = [v for v in full if all(v <= tuple(s[c] for c in v) for s in perms)]
-    walked = [(tuple(cols), (code, moves, lower), used)
-              for code, cols, moves, lower, used in space.walk(orbits=True)]
+    walked = []
+    for code, cols, moves, lower, used in space.walk(orbits=True):
+        # the walk keeps each used colour's first vertex beside cols
+        assert space.first[:used] == [cols.index(a) for a in range(used)]
+        walked.append((tuple(cols), (code, moves, lower), used))
     assert [cols for cols, _, _ in walked] == least  # dicts keep the walk's order
     assert all(state == full[cols] and used == len(set(cols)) for cols, state, used in walked)
     total = sum(math.factorial(k) // math.factorial(k - used) for _, _, used in walked)
@@ -707,3 +727,58 @@ def test_frozen_states_come_in_lexicographic_order():
     for name, (g, k) in graphs.items():
         got = [p.to_colours() for p in reconfiguration_components(g, k).frozen_colourings]
         assert got == GOLDEN["frozen_order"][name] == sorted(got), name
+    # 2K2 with k=2 has two frozen orbits, 0101 and 0110, whose runs interleave
+    two_k2 = _disjoint_union(complete_graph(2), complete_graph(2))
+    for g, k in ((two_k2, 2), (complete_graph(7), 7)):
+        got = reconfiguration_components(g, k).to_json()["frozen_colourings"]
+        assert got == _every_edge_components(g, k, 10**4).to_json()["frozen_colourings"]
+
+
+def _expanded_frozen(g, k):
+    """Reference: each frozen representative's k! colour vectors, sorted, then built."""
+    reps = [tuple(cols) for _, cols, moves, _, used in _Packing(g, k).walk(orbits=True)
+            if used == k and not moves]
+    vectors = sorted(tuple(s[c] for c in rep) for rep in reps
+                     for s in itertools.permutations(range(k)))
+    return [BlockPartition.from_colours(v, k) for v in vectors]
+
+
+@given(_graphs_up_to(7), st.integers(0, 5))
+@settings(max_examples=300, deadline=None)
+def test_frozen_renamings_match_the_sorted_expansion(g, k):
+    got = reconfiguration_components(g, k).frozen_colourings
+    expected = _expanded_frozen(g, k)
+    assert [(p.to_colours(), p.block_masks()) for p in got] == \
+        [(p.to_colours(), p.block_masks()) for p in expected]
+
+
+def test_each_frozen_orbit_is_checked_once(monkeypatch):
+    calls = []
+
+    def counting(g, p):
+        calls.append(p)
+        return is_frozen_colouring(g, p)
+
+    monkeypatch.setattr(reconfig, "is_frozen_colouring", counting)
+    dense = complement(chain_complement(5).graph)
+    assert len(reconfiguration_components(dense, 6).frozen_colourings) == 720
+    assert len(calls) == 1
+    two_k2 = _disjoint_union(complete_graph(2), complete_graph(2))
+    for g, k in ((cycle_graph(9), 3), (two_k2, 2)):
+        calls.clear()
+        orbits = sum(used == k and not moves
+                     for _, _, moves, _, used in _Packing(g, k).walk(orbits=True))
+        frozen = reconfiguration_components(g, k).frozen_colourings
+        assert len(calls) == orbits == len(frozen) // math.factorial(k)
+    monkeypatch.setattr(reconfig, "is_frozen_colouring", lambda g, p: False)
+    with pytest.raises(CertificateError, match="isolated colouring is not frozen"):
+        reconfiguration_components(cycle_graph(9), 3)
+
+
+@pytest.mark.slow
+def test_k9_frozen_states_are_its_renamings_in_walk_order():
+    rep = reconfiguration_components(complete_graph(9), 9)
+    assert rep.colouring_count == rep.component_count == 362_880
+    assert rep.component_sizes == (1,) * 362_880
+    assert all(p.to_colours() == list(s) for p, s in
+               zip(rep.frozen_colourings, itertools.permutations(range(9)), strict=True))
