@@ -133,8 +133,11 @@ def read_partition(path: str, n: int, k: int | None = None) -> BlockPartition:
     """Load a partition from JSON {k, blocks} or a colour-per-vertex line.
 
     Without k, a colour line's k is its top colour plus one, so a colour
-    above the graph's order n is refused before any block is allocated.
+    above the graph's order n is refused before any block is allocated; a
+    given k above n + 1 is refused the same way.
     """
+    if k is not None and k > n + 1:
+        raise UsageFailure(f"--k {k} is above the graph's order plus one, {n + 1}")
     text = _read_text(path).strip()
     try:
         if text.startswith("{"):
@@ -151,6 +154,11 @@ def read_partition(path: str, n: int, k: int | None = None) -> BlockPartition:
     if k is not None and part.k != k:
         raise UsageFailure(f"--k {k} but partition {path} has k={part.k}")
     return part
+
+
+def _same_order(part: BlockPartition, g: Graph) -> None:
+    if part.ground != g.n:
+        raise UsageFailure(f"partition covers {part.ground} vertices but the graph has {g.n}")
 
 
 def _emit(out: str | None, text: str) -> None:
@@ -256,10 +264,7 @@ def check(graph: str, partition: str, frozen: bool, clique_partition: bool,
     """Check a partition against a graph; exit 0 iff it passes."""
     g = read_graph(graph, fmt)
     part = read_partition(partition, g.n, k)
-    if part.ground != g.n:
-        raise UsageFailure(
-            f"partition covers {part.ground} vertices but the graph has {g.n}"
-        )
+    _same_order(part, g)
     checker = {
         (False, False): is_proper_colouring,
         (False, True): is_clique_partition,
@@ -358,6 +363,11 @@ def subdivide(graph: str, x: int, y: int, certs: str | None, strict_c4: bool,
         f = BlockPartition.from_json(data["frozen_partition"])
     except (KeyError, ValueError, TypeError) as exc:
         raise UsageFailure(f"bad certificate file {certs}: {exc}")
+    # a request the certificates cannot answer is unusable, not false
+    if not (0 <= x < g.n and 0 <= y < g.n) or not g.has_edge(x, y):
+        raise UsageFailure(f"({x}, {y}) is not an edge")
+    _same_order(q, g)
+    _same_order(f, g)
     try:
         result = subdivide_with_certificates(g, q, f, x, y, strict_c4=strict_c4)
     except ValueError as exc:  # the supplied certificates are false: exit 1, not 2
@@ -417,6 +427,11 @@ def recolour(graph: str, ell: int, start: str | None, target: str | None,
         if sample <= 0:
             raise UsageFailure(f"--sample must be positive, got {sample}")
     g = read_graph(graph, fmt)
+    # a budget above any useful palette: n + 1 colours leave each vertex two
+    # free ones, and a walk on K1 needs 3
+    if ell > max(g.n + 1, 3):
+        raise UsageFailure(f"--ell {ell} is above {max(g.n + 1, 3)}, the larger of 3 "
+                           "and the graph's order plus one")
     pairs: list[tuple[BlockPartition, BlockPartition]] = []
     if sample is not None:
         rng = random.Random(seed)

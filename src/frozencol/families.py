@@ -7,8 +7,8 @@ construction time: partitions re-checked, counts and edge totals compared,
 witness independent sets tested, C4 presence/absence confirmed.
 
 H and CHAIN are the paper's subdivision iterated, from b_t and from ME(2):
-each step runs the unchecked kernel of `transform`, and the final instance
-is re-checked once, like every other family.
+all splits run on one packed state, the graph and certificates are built
+once, and the instance is re-checked once, like every other family.
 
 Shared layout for the necklace-style families: spine vertices u_0..u_{q+1}
 first, then triangle vertices v_11, v_12, v_13, ..., v_q3 in Hamiltonian
@@ -20,12 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, find_induced, graph_from_edges, require
-from .partitions import (
-    BlockPartition,
-    is_clique_partition,
-    is_frozen_clique_partition,
-)
-from .transform import _split
+from .partitions import BlockPartition, is_clique_partition, is_frozen_clique_partition
+from .transform import _built, _split
 
 
 @dataclass(frozen=True)
@@ -336,16 +332,13 @@ def _subdivided(base: FamilyInstance, family: str, param: int,
     neighbour is x and v's is y, and x, y are adjacent, so it stays
     independent.
     """
-    g, q, f = base.graph, base.canonical, base.frozen
-    witness = base.expected.alpha_witness
-    for x, y in splits:
-        u = g.n
-        g, q, f, used = _split(g, q, f, x, y)
+    g, witness = base.graph, base.expected.alpha_witness
+    rows, q, f = list(g.rows), base.canonical.block_masks(), base.frozen.block_masks()
+    cases = _split(rows, q, f, splits)
+    for u, (x, y), used in zip(range(g.n, len(rows), 2), splits, cases):
         require(used == case, f"subdividing ({x}, {y}) left case {case}")
         witness += (u + 1,) if x in witness else (u,)
-    if labels is not None:
-        g = Graph(g.n, g.rows, labels)
-    return _verified(FamilyInstance(family, param, g, q, f,
+    return _verified(FamilyInstance(family, param, *_built(g, rows, q, f, labels),
                                     Expected(alpha_witness=witness, **expected)))
 
 

@@ -117,12 +117,9 @@ def figure_graph(name: str) -> Graph:
 
 def figure_partition(name: str, panel: str) -> BlockPartition:
     """The depicted partition of one panel, blocks in printed number order."""
-    n, _, left, right = _FIGURES[name]
+    _, _, left, right = _FIGURES[name]
     labels = {"left": left, "right": right}[panel]
-    blocks: list[list[int]] = [[] for _ in range(max(labels))]
-    for v, c in enumerate(labels):
-        blocks[c - 1].append(v)
-    return BlockPartition(blocks)
+    return BlockPartition.from_colours([c - 1 for c in labels])
 
 
 def figure_panel_payload(name: str, panel: str) -> dict:
@@ -137,7 +134,7 @@ def figure_panel_payload(name: str, panel: str) -> dict:
         "graph6": encode_graph6(g),
         "edges": [[u, v] for u, v in g.edges()],
         "k": part.k,
-        "blocks": [sorted(b) for b in part.blocks],
+        "blocks": part.to_json()["blocks"],
         "colours": part.to_colour_line(),
     }
 

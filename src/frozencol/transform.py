@@ -9,9 +9,9 @@ operation, expanding a non-edge xy of G, is this construction read in the
 complement: complement G, subdivide xy with the same certificates, complement
 the result. The blocks then read as colour classes.
 
-`_split` is the one place that rewires the edge and moves the blocks, with
-no check. `subdivide_with_certificates` wraps it in checks of its inputs and
-outputs; the H and CHAIN families iterate it and check the end result once.
+`_split` is the one place that rewires edges and moves blocks, in place on
+packed state; `_built` builds the graph and both partitions once, checked.
+`subdivide_with_certificates` wraps one split in checks of inputs and outputs.
 """
 
 from __future__ import annotations
@@ -35,45 +35,50 @@ class TransformResult:
 
 def subdivide_edge(h: Graph, x: int, y: int) -> Graph:
     """Replace edge xy by the path x, u, v, y with u = n and v = n+1."""
-    if not (0 <= x < h.n and 0 <= y < h.n) or not h.has_edge(x, y):
-        raise ValueError(f"({x}, {y}) is not an edge")
-    n = h.n
-    u, v = n, n + 1
-    rows = list(h.rows) + [0, 0]
-    rows[x] &= ~(1 << y)
-    rows[y] &= ~(1 << x)
-    rows[x] |= 1 << u
-    rows[u] = 1 << x | 1 << v
-    rows[v] = 1 << u | 1 << y
-    rows[y] |= 1 << v
-    labels = h.labels if h.labels is not None else tuple(str(i) for i in range(n))
-    return Graph(n + 2, rows, labels + (f"u@{n}", f"v@{n}"))
+    rows = list(h.rows)
+    _split(rows, [], [], [(x, y)])  # no certificates to carry
+    return _built(h, rows, [], [])[0]
 
 
-def _split(h: Graph, q: BlockPartition, f: BlockPartition, x: int, y: int
-           ) -> tuple[Graph, BlockPartition, BlockPartition, int]:
-    """Subdivide xy and transport q and f, checking neither: (graph, q, f, case).
+def _built(h: Graph, rows: list[int], q: list[int], f: list[int],
+           labels: tuple[str, ...] | None = None
+           ) -> tuple[Graph, BlockPartition, BlockPartition]:
+    """The graph h grew into on rows, and certificates on masks q and f, each
+    built checked; by default the split at order n labels u, v as u@n, v@n."""
+    if labels is None:
+        labels = h.labels if h.labels is not None else tuple(map(str, range(h.n)))
+        labels += tuple(f"{s}@{n}" for n in range(h.n, len(rows), 2) for s in "uv")
+    return (Graph(len(rows), rows, labels),
+            BlockPartition(map(bits, q)), BlockPartition(map(bits, f)))
 
-    With u = n and v = n+1, {u,v} becomes a new block of q; f gains {u,v}
-    (case 1) or trades its block {x,y} for {x,u} and {v,y} (case 2).
+
+def _split(rows: list[int], q: list[int], f: list[int],
+           splits: list[tuple[int, int]]) -> list[int]:
+    """Subdivide each edge xy of splits in turn, in place: the case of each.
+
+    rows are adjacency rows, q and f the block masks of the two certificates.
+    With u = n and v = n+1, xy becomes the path x-u-v-y, {u,v} a new block
+    of q, and f gains {u,v} (case 1) or trades its block {x,y} for {x,u} and
+    {v,y} (case 2). Only a non-edge or a larger shared f block is refused.
     """
-    fx, case = f.block_of(x), 1
-    if fx == f.block_of(y):
-        block = f.block_masks()[fx]
-        if block != 1 << x | 1 << y:
-            raise ValueError(
-                f"x and y share frozen block {list(bits(block))}; neither case applies"
-            )
-        case = 2
-    out = subdivide_edge(h, x, y)
-    u, v = h.n, h.n + 1
-    q_out = BlockPartition(list(q.blocks) + [{u, v}])
-    if case == 1:
-        f_out = BlockPartition(list(f.blocks) + [{u, v}])
-    else:
-        kept = [bits(b) for b in f.block_masks() if b != 1 << x | 1 << y]
-        f_out = BlockPartition(kept + [{x, u}, {v, y}])
-    return out, q_out, f_out, case
+    cases = []
+    for x, y in splits:
+        u, v = len(rows), len(rows) + 1
+        if not (0 <= x < u and 0 <= y < u) or not rows[x] >> y & 1:
+            raise ValueError(f"({x}, {y}) is not an edge")
+        pair = 1 << x | 1 << y
+        shared = next((b for b in f if b & pair == pair), 0)
+        if shared and shared != pair:
+            raise ValueError(f"x and y share frozen block {[*bits(shared)]}; neither case applies")
+        rows[x] ^= 1 << y | 1 << u
+        rows[y] ^= 1 << x | 1 << v
+        rows += [1 << x | 1 << v, 1 << u | 1 << y]
+        q.append(1 << u | 1 << v)
+        if shared:  # case 2
+            f.remove(pair)
+        f += [1 << x | 1 << u, 1 << v | 1 << y] if shared else [1 << u | 1 << v]
+        cases.append(2 if shared else 1)
+    return cases
 
 
 def subdivide_with_certificates(
@@ -99,9 +104,11 @@ def subdivide_with_certificates(
         raise ValueError("x and y share a block of q")
     if not is_frozen_clique_partition(h, f):
         raise ValueError("f is not a frozen clique partition")
-    out, q_out, f_out, case_used = _split(h, q, f, x, y)
+    rows, q_masks, f_masks = list(h.rows), q.block_masks(), f.block_masks()
+    [case_used] = _split(rows, q_masks, f_masks, [(x, y)])
     if strict_c4 and case_used == 1 and is_diamond_middle_edge(h, x, y):
         raise ValueError(f"({x}, {y}) is the middle edge of a diamond")
+    out, q_out, f_out = _built(h, rows, q_masks, f_masks)
     require(q_out.k == q.k + 1 and f_out.k == f.k + 1, "transport did not add one block")
     require(is_clique_partition(out, q_out), "transported q certificate failed verification")
     require(is_frozen_clique_partition(out, f_out),

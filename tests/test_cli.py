@@ -166,6 +166,21 @@ def test_check_k_must_match_json_partition(runner, c5_path, tmp_path):
     assert same.output == "PASS: proper colouring\n"
 
 
+def test_check_k_above_order_plus_one_is_usage_error(runner, tmp_path):
+    # refused before from_colours allocates k blocks
+    c3, line = tmp_path / "c3.g6", tmp_path / "c3.col"
+    c3.write_text(encode_graph6(cycle_graph(3)) + "\n")
+    line.write_text("0 1 2\n")
+    result = runner.invoke(main, ["check", str(c3), str(line), "--k", "1000000000000"])
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.exit_code == 2
+    assert result.stderr == "error: --k 1000000000000 is above the graph's order plus one, 4\n"
+    assert runner.invoke(main, ["check", str(c3), str(line), "--k", "5"]).exit_code == 2
+    ok = runner.invoke(main, ["check", str(c3), str(line), "--k", "4"])
+    assert ok.exit_code == 0
+    assert ok.output == "PASS: proper colouring\n"
+
+
 HUGE_ID = 9999999999999999999
 
 
@@ -336,18 +351,52 @@ def test_subdivide_certs_vertex_id_above_order_is_usage_error(runner, c5_path, t
     assert "Traceback" not in result.output
 
 
-def test_subdivide_rechecks_transported_certificates(runner, tmp_path, monkeypatch):
+def _me2_certs(tmp_path):
     certs = tmp_path / "certs.json"
     certs.write_text(json.dumps({
         key: {k: json.loads(Path(path).read_text())[k] for k in ("k", "blocks")}
         for key, path in (("clique_partition", ME2_LEFT), ("frozen_partition", ME2_RIGHT))
     }))
+    return str(certs)
+
+
+@pytest.mark.parametrize("x, y", [(0, 5), (0, 10), (-1, 0)])
+def test_subdivide_certs_non_edge_is_usage_error(runner, tmp_path, x, y):
+    # the request is unusable, the certificates are not false: exit 2 as without --certs
+    args = ["subdivide", ME2_RIGHT, "--x", str(x), "--y", str(y)]
+    for extra in ([], ["--certs", _me2_certs(tmp_path)]):
+        result = runner.invoke(main, args + extra)
+        assert result.exit_code == 2
+        assert result.stderr == f"error: ({x}, {y}) is not an edge\n"
+
+
+@pytest.mark.parametrize("short", ["clique_partition", "frozen_partition"])
+def test_subdivide_certs_of_another_order_are_usage_error(runner, c5_path, tmp_path, short):
+    # check refuses a partition of the wrong order with the same exit code and text
+    parts = {"clique_partition": [[0, 1], [2, 3], [4]],
+             "frozen_partition": [[0, 1], [2, 3], [4]]}
+    parts[short] = [[0, 1], [2, 3]]
+    certs = tmp_path / "certs.json"
+    certs.write_text(json.dumps({key: {"k": len(b), "blocks": b} for key, b in parts.items()}))
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps({"k": 2, "blocks": parts[short]}))
+    message = "error: partition covers 4 vertices but the graph has 5\n"
+    result = runner.invoke(main, ["subdivide", c5_path, "--x", "0", "--y", "1",
+                                  "--certs", str(certs)])
+    assert result.exit_code == 2
+    assert result.stderr == message
+    checked = runner.invoke(main, ["check", c5_path, str(part), "--clique-partition"])
+    assert (checked.exit_code, checked.stderr) == (2, message)
+
+
+def test_subdivide_rechecks_transported_certificates(runner, tmp_path, monkeypatch):
+    certs = _me2_certs(tmp_path)
     checker = transform.is_frozen_clique_partition
     # the input graph has 10 vertices: only the 12-vertex output is refused
     monkeypatch.setattr(transform, "is_frozen_clique_partition",
                         lambda g, p: g.n == 10 and checker(g, p))
     result = runner.invoke(main, ["subdivide", ME2_RIGHT, "--x", "7", "--y", "8",
-                                  "--certs", str(certs)])
+                                  "--certs", certs])
     assert result.exit_code == 1
     assert result.stderr == ("verification failed: "
                              "transported f certificate failed verification\n")
@@ -409,6 +458,31 @@ def test_recolour_bad_sample_is_usage_error(runner, c5_path, extra, message):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("extra", [["--start", "0 1 2", "--target", "1 2 0"],
+                                   ["--sample", "1"]], ids=["endpoints", "sample"])
+def test_recolour_ell_above_budget_is_usage_error(runner, tmp_path, extra):
+    # refused before the endpoints allocate ell blocks or a draw loops over ell colours
+    c3 = tmp_path / "c3.g6"
+    c3.write_text(encode_graph6(cycle_graph(3)) + "\n")
+    result = runner.invoke(main, ["recolour", str(c3), "--ell", "1000000000000", *extra])
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == ("error: --ell 1000000000000 is above 4, the larger of 3 "
+                             "and the graph's order plus one\n")
+
+
+def test_recolour_ell_budget_admits_three_colours_on_k1(runner, tmp_path):
+    k1 = tmp_path / "k1.g6"
+    k1.write_text("@\n")
+    walk = ["recolour", str(k1), "--start", "0", "--target", "1"]
+    assert runner.invoke(main, walk + ["--ell", "3"]).exit_code == 0
+    refused = runner.invoke(main, walk + ["--ell", "4"])
+    assert refused.exit_code == 2
+    assert refused.stderr == ("error: --ell 4 is above 3, the larger of 3 "
+                              "and the graph's order plus one\n")
 
 
 def test_recolour_improper_endpoint_is_usage_error(runner, c5_path):

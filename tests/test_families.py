@@ -102,6 +102,20 @@ def test_chain_counts(t):
     assert inst.expected.theta == t and inst.expected.frozen_blocks == t + 1
 
 
+def test_towers_build_at_full_size():
+    # ROADMAP's tower target k = 500 and H at t = 80, each built and re-checked
+    chain = chain_complement(500)
+    check_instance(chain)
+    assert (chain.expected.n, chain.expected.edges) == (1002, 1006)
+    assert (chain.expected.theta, chain.expected.alpha) == (500, 500)
+    assert chain.expected.frozen_blocks == 501 and chain.expected.c4_free
+    h = h_t_complement(80)
+    check_instance(h)
+    assert (h.expected.n, h.expected.edges) == (318, 80 * 80 + 2 * 79)
+    assert (h.expected.theta, h.expected.alpha) == (81, 81)
+    assert h.expected.frozen_blocks == 159 and h.expected.c4_free
+
+
 def test_parameter_validation():
     for bad_call in (
         lambda: me_complement(1),

@@ -3,10 +3,19 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from frozencol.families import chain_complement, me_complement
+from frozencol.families import (
+    b_t,
+    chain_complement,
+    ke_complement,
+    km_complement,
+    me_complement,
+)
 from frozencol.graph import (
+    Graph,
     are_isomorphic,
+    bits,
     complement,
     cycle_graph,
     find_induced,
@@ -23,6 +32,8 @@ from frozencol.partitions import (
 )
 from frozencol.solvers import chromatic_number
 from frozencol.transform import (
+    _built,
+    _split,
     subdivide_edge,
     subdivide_with_certificates,
     with_theta_check,
@@ -147,6 +158,89 @@ def test_theta_increment():
     assert with_theta_check(res, me.graph, 4).theta_incremented is True
     assert with_theta_check(res, me.graph, 3).theta_incremented is False
     assert res.theta_incremented is None
+
+
+# -- the kernel against its single-step predecessor -------------------------------
+
+
+def _reference_split(h, q, f, x, y):
+    """One split as the kernel did it when it ran one step at a time: a new
+    graph and two new partitions, built from frozenset blocks."""
+    fx, case = f.block_of(x), 1
+    if fx == f.block_of(y):
+        block = f.block_masks()[fx]
+        if block != 1 << x | 1 << y:
+            raise ValueError(
+                f"x and y share frozen block {list(bits(block))}; neither case applies"
+            )
+        case = 2
+    if not (0 <= x < h.n and 0 <= y < h.n) or not h.has_edge(x, y):
+        raise ValueError(f"({x}, {y}) is not an edge")
+    n = h.n
+    u, v = n, n + 1
+    rows = list(h.rows) + [0, 0]
+    rows[x] &= ~(1 << y)
+    rows[y] &= ~(1 << x)
+    rows[x] |= 1 << u
+    rows[u] = 1 << x | 1 << v
+    rows[v] = 1 << u | 1 << y
+    rows[y] |= 1 << v
+    labels = h.labels if h.labels is not None else tuple(str(i) for i in range(n))
+    out = Graph(n + 2, rows, labels + (f"u@{n}", f"v@{n}"))
+    q_out = BlockPartition(list(q.blocks) + [{u, v}])
+    if case == 1:
+        f_out = BlockPartition(list(f.blocks) + [{u, v}])
+    else:
+        kept = [bits(b) for b in f.block_masks() if b != 1 << x | 1 << y]
+        f_out = BlockPartition(kept + [{x, u}, {v, y}])
+    return out, q_out, f_out, case
+
+
+KERNEL_BASES = ([me_complement(q) for q in (2, 3, 4)] + [km_complement(q) for q in (2, 3)]
+                + [ke_complement(q) for q in (1, 2)] + [b_t(t) for t in (3, 4, 5)])
+ME2_EDGES = KERNEL_BASES[0].graph.edges()
+
+
+def _pick(h, i, on_edge):
+    """An edge of h (either way round) when on_edge, else two distinct vertices."""
+    if on_edge:
+        edges = h.edges()
+        x, y = edges[i % len(edges)]
+        return (y, x) if i // len(edges) % 2 else (x, y)
+    x = i % h.n
+    return x, (x + 1 + i // h.n % (h.n - 1)) % h.n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(KERNEL_BASES), st.booleans(),
+       st.lists(st.tuples(st.integers(0, 10**4), st.booleans()), min_size=1, max_size=6))
+@example(KERNEL_BASES[0], False, [(ME2_EDGES.index((U1, U2)), True)])  # case 1
+@example(KERNEL_BASES[0], False, [(ME2_EDGES.index((U1, V12)), True)])  # case 2
+@example(KERNEL_BASES[0], True, [(ME2_EDGES.index((V11, V12)), True)])  # neither case
+def test_split_kernel_matches_single_steps(inst, swap, draws):
+    # with swap the canonical partition plays f: its larger blocks make pairs
+    # where neither case applies
+    q0, f0 = (inst.frozen, inst.canonical) if swap else (inst.canonical, inst.frozen)
+    h, q, f, splits, cases, error = inst.graph, q0, f0, [], [], None
+    for i, on_edge in draws:
+        splits.append(_pick(h, i, on_edge))
+        try:
+            h, q, f, case = _reference_split(h, q, f, *splits[-1])
+        except ValueError as exc:
+            error = str(exc)
+            break
+        cases.append(case)
+    rows, q_masks, f_masks = list(inst.graph.rows), q0.block_masks(), f0.block_masks()
+    if error is not None:
+        with pytest.raises(ValueError) as info:
+            _split(rows, q_masks, f_masks, splits)
+        assert str(info.value) == error
+        return
+    assert _split(rows, q_masks, f_masks, splits) == cases
+    assert tuple(rows) == h.rows
+    assert q_masks == q.block_masks() and f_masks == f.block_masks()
+    out, q_out, f_out = _built(inst.graph, rows, q_masks, f_masks)
+    assert out.labels == h.labels and q_out == q and f_out == f
 
 
 # -- iterated chain --------------------------------------------------------------
