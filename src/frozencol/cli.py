@@ -368,10 +368,14 @@ def subdivide(graph: str, x: int, y: int, certs: str | None, strict_c4: bool,
         raise UsageFailure(f"({x}, {y}) is not an edge")
     _same_order(q, g)
     _same_order(f, g)
+    # false certificates fail verification (exit 1), as in check; the library's
+    # remaining refusals are of the request (exit 2)
     try:
-        result = subdivide_with_certificates(g, q, f, x, y, strict_c4=strict_c4)
-    except ValueError as exc:  # the supplied certificates are false: exit 1, not 2
+        require(is_clique_partition(g, q), "q is not a clique partition")
+        require(is_frozen_clique_partition(g, f), "f is not a frozen clique partition")
+    except ValueError as exc:  # f's blocks are not even cliques
         raise CertificateError(str(exc))
+    result = subdivide_with_certificates(g, q, f, x, y, strict_c4=strict_c4)
     if theta_check:
         result = with_theta_check(result, g, q.k)
         require(result.theta_incremented is not False, "cover number did not rise by one")

@@ -15,6 +15,9 @@ from collections.abc import Iterable, Iterator, Sequence
 # Closed set of induced patterns the detectors know about.
 PATTERNS = ("C4", "2K2", "P4", "P5", "K3", "DIAMOND")
 
+# The largest order graph6 can encode; no reader builds a larger graph.
+_MAX_ORDER = 258047
+
 
 class CertificateError(AssertionError):
     """A certificate, witness or bound failed its re-check.
@@ -449,10 +452,10 @@ def encode_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
         head = [n + 63]
-    elif n <= 258047:
+    elif n <= _MAX_ORDER:
         head = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
     else:
-        raise ValueError(f"graph6 encoding supports n <= 258047, got {n}")
+        raise ValueError(f"graph6 encoding supports n <= {_MAX_ORDER}, got {n}")
     acc = 0
     nbits = 0
     body = []
@@ -483,7 +486,7 @@ def decode_graph6(text: str) -> Graph:
         body = data[1:]
     else:
         if len(data) >= 2 and data[1] == 63:
-            raise ValueError("graph6 orders beyond 258047 are not supported")
+            raise ValueError(f"graph6 orders beyond {_MAX_ORDER} are not supported")
         if len(data) < 4:
             raise ValueError("truncated graph6 header")
         n = data[1] << 12 | data[2] << 6 | data[3]
@@ -505,6 +508,13 @@ def decode_graph6(text: str) -> Graph:
 # -- DIMACS .col --------------------------------------------------------------
 
 
+def _declared_order(n: int) -> int:
+    """n, refused above graph6's largest order before any row is allocated."""
+    if isinstance(n, int) and n > _MAX_ORDER:
+        raise ValueError(f"order {n} is above {_MAX_ORDER}, the largest graph6 can encode")
+    return n
+
+
 def write_dimacs(g: Graph) -> str:
     lines = [f"p edge {g.n} {g.edge_count}"]
     lines += [f"e {u + 1} {v + 1}" for u, v in g.edges()]
@@ -522,7 +532,7 @@ def read_dimacs(text: str) -> Graph:
         if tok[0] == "p":
             if len(tok) != 4 or tok[1].lower() != "edge":
                 raise ValueError(f"unsupported DIMACS problem line: {line!r}")
-            n = int(tok[2])
+            n = _declared_order(int(tok[2]))
         elif tok[0] == "e":
             if len(tok) != 3:
                 raise ValueError(f"bad edge line: {line!r}")
@@ -546,5 +556,5 @@ def graph_to_json(g: Graph) -> dict:
 
 def graph_from_json(data: dict) -> Graph:
     return graph_from_edges(
-        data["n"], [tuple(e) for e in data["edges"]], data.get("labels")
+        _declared_order(data["n"]), [tuple(e) for e in data["edges"]], data.get("labels")
     )

@@ -23,25 +23,26 @@ from .graph import CertificateError, Graph, require
 from .partitions import BlockPartition, _renamings, is_frozen_colouring
 
 DEFAULT_COLOURING_CAP = 2 * 10**7
-DEFAULT_UNION_CAP = 10**8
 
 
 class CapExceeded(RuntimeError):
     """A state-space walk crossed its configured budget."""
 
 
-def _refuse_injective_overflow(n: int, k: int, cap: int) -> None:
-    """Raise CapExceeded when k >= n >= 1 and k(k-1)...(k-n+1) exceeds cap.
+def _refuse_greedy_overflow(g: Graph, k: int, cap: int) -> None:
+    """Raise CapExceeded when a greedy count shows more than cap proper k-colourings.
 
-    Every injective colour vector is a proper k-colouring, and there are
-    k(k-1)...(k-n+1) of them, so a walk would cross the state cap too. This
-    answers before anything sized by k is built, so a huge k cannot exhaust
-    memory first. The product stops growing past the cap.
+    In index order, vertex v has at least k - d(v) colours free of its d(v)
+    earlier neighbours; when all are positive, their product is a lower
+    bound on the proper k-colourings, at least k(k-1)...(k-n+1) when k >= n.
+    So a huge k or a long walk is refused before either starts. The product
+    stops growing past the cap.
     """
-    if n < 1 or k < n:
+    free = [k - (row & (1 << v) - 1).bit_count() for v, row in enumerate(g.rows)]
+    if min(free, default=1) < 1:
         return
     count = 1
-    for x in range(k, k - n, -1):
+    for x in free:
         count *= x
         if count > cap:
             raise CapExceeded(f"more than {cap} proper colourings")
@@ -281,15 +282,14 @@ def reconfiguration_components(
     k!/(k-m)! states sigma(X), where X uses m colours. A union-find over
     these representatives joins X to the representative Y* of a chosen set
     of its neighbours Y = sigma(Y*). The components of R_k are then lifted
-    from the sets. Raises CapExceeded when a budget is crossed. The state
-    cap is compared with the running sum of orbit sizes. The union cap is
-    compared, against twice its value, with the running sum of orbit size
-    times move count; every state of an orbit has as many moves, so that
-    sum ends at 2|E(R_k)|. The verdicts are those of a walk over every
-    state that counts each edge once. Before the walk, when k >= n, the
-    state cap is compared with the k(k-1)...(k-n+1) injective colourings,
-    which are all proper, so a huge k is refused before anything sized by
-    k is built.
+    from the sets. Raises CapExceeded when the running sum of orbit sizes
+    crosses the state cap, R_k's only budget, or, before the walk, when a
+    greedy lower bound on the proper colourings does. The cap bounds the
+    pass too: a representative using m colours takes at most Delta + m
+    edges (the last lower move, at most Delta moves that clash with it, at
+    most one upper move per first vertex), costs O(n*k) work besides, and
+    13 B of index. So neither a count of R_k's edges nor of the unions
+    performed adds a bound.
 
     Renaming. Let u be the first vertex of colour a in X and u' the next
     vertex of colour a (n when there is none), and let t be the largest
@@ -385,9 +385,10 @@ def reconfiguration_components(
     the search. `codes` is an array('q') of 8 B a representative, or a
     plain list when k**n passes 2**63 and a code may not fit in 63 bits.
     """
-    _refuse_injective_overflow(g.n, k, colouring_cap)
-    space = _Packing(g, k)
-    union_cap = DEFAULT_UNION_CAP
+    _refuse_greedy_overflow(g, k, colouring_cap)
+    # a representative uses at most n colours, and the pass reads moves only to
+    # colours it uses, or whether it has a move at all: colour n stands for the rest
+    space = _Packing(g, min(k, g.n + 1))
     n, ones, nbr_bits, width = g.n, space.ones, space.nbr_bits, space.width
     weight, first = space.weight, space.first  # first: each used colour's first vertex
     palette = list(range(min(n, k)))
@@ -405,7 +406,7 @@ def reconfiguration_components(
     label = {}
     voltages = {}  # root -> stabiliser elements found in its frame
     frozen_reps = []
-    states = degrees = 0
+    states = 0
 
     def find(j: int) -> int:
         """j's root; j's path is compressed unless its set is labelled."""
@@ -430,13 +431,9 @@ def reconfiguration_components(
         return j, phi
 
     for i, (code, cols, moves, lower, used) in enumerate(space.walk(colouring_cap, orbits=True)):
-        size = orbit[used]
-        states += size
+        states += orbit[used]
         if states > colouring_cap:
             raise CapExceeded(f"more than {colouring_cap} proper colourings")
-        degrees += size * moves.bit_count()
-        if degrees > 2 * union_cap:
-            raise CapExceeded(f"more than {union_cap} union operations")
         codes.append(code)
         parent.append(i)
         used_of.append(used)
@@ -739,7 +736,7 @@ def find_frozen(g: Graph, k: int) -> BlockPartition | None:
 
 def reconfiguration_dot(g: Graph, k: int, cap: int = 10**4) -> str:
     """Render R_k(g) in DOT, nodes labelled by their colour vectors."""
-    _refuse_injective_overflow(g.n, k, cap)
+    _refuse_greedy_overflow(g, k, cap)
     space = _Packing(g, k)
     codes = space.code_array()
     lines = ["graph reconfig {"]

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from frozencol import reconfig, transform
 from frozencol.cli import main
 from frozencol.families import me_complement
-from frozencol.graph import complement, cycle_graph, decode_graph6, encode_graph6
+from frozencol.graph import complement, complete_graph, cycle_graph, decode_graph6, encode_graph6
 from frozencol.partitions import (
     BlockPartition,
     is_frozen_clique_partition,
@@ -201,6 +201,28 @@ def test_check_unreadable_graph_is_usage_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
+HUGE_ORDER_REFUSAL = "order 1000000000 is above 258047, the largest graph6 can encode\n"
+
+
+def test_dimacs_order_above_graph6_limit_is_usage_error(runner, tmp_path):
+    # refused before [0] * n rows are allocated
+    big = tmp_path / "big.col"
+    big.write_text("p edge 1000000000 0\n")
+    result = runner.invoke(main, ["check", str(big), "/dev/null"])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: cannot parse {big} as dimacs: " + HUGE_ORDER_REFUSAL
+    assert "Traceback" not in result.output
+
+
+def test_json_order_above_graph6_limit_is_usage_error(runner, tmp_path):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"n": 1000000000, "edges": []}))
+    result = runner.invoke(main, ["check", str(big), "/dev/null"])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: cannot parse {big} as json: " + HUGE_ORDER_REFUSAL
+    assert "Traceback" not in result.output
+
+
 # -- solve ----------------------------------------------------------------------
 
 
@@ -285,6 +307,17 @@ def test_reconfig_huge_k_exits_two_before_allocating(runner, tmp_path):
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert result.exit_code == 2
     assert result.stderr == "cap exceeded: more than 20000000 proper colourings\n"
+
+
+def test_reconfig_huge_k_under_a_huge_cap_packs_no_k_bit_field(runner, tmp_path):
+    # R_k(K1) is K_k: 10^19 states in one component, answered without a 10^19-bit mask
+    k1 = tmp_path / "k1.g6"
+    k1.write_text(encode_graph6(complete_graph(1)) + "\n")
+    huge = str(10**19)
+    result = runner.invoke(main, ["reconfig", str(k1), "--k", huge, "--cap", huge])
+    assert result.exit_code == 0
+    report = json.loads(result.stdout)
+    assert (report["colouring_count"], report["component_sizes"]) == (10**19, [10**19])
 
 
 @pytest.mark.parametrize("cap", ["0", "-4"])
@@ -400,6 +433,56 @@ def test_subdivide_rechecks_transported_certificates(runner, tmp_path, monkeypat
     assert result.exit_code == 1
     assert result.stderr == ("verification failed: "
                              "transported f certificate failed verification\n")
+
+
+def _certs_file(tmp_path, q_blocks, f_blocks):
+    certs = tmp_path / "certs.json"
+    certs.write_text(json.dumps({key: {"k": len(b), "blocks": b} for key, b in
+                                 (("clique_partition", q_blocks), ("frozen_partition", f_blocks))}))
+    return str(certs)
+
+
+def _graph6_file(tmp_path, text):
+    path = tmp_path / "g.g6"
+    path.write_text(text + "\n")
+    return str(path)
+
+
+def test_subdivide_certs_pair_in_one_q_block_is_usage_error(runner, tmp_path):
+    # the certificates hold; the request asks to split a clique block
+    result = runner.invoke(main, ["subdivide", ME2_RIGHT, "--x", "0", "--y", "1",
+                                  "--certs", _me2_certs(tmp_path)])
+    assert result.exit_code == 2
+    assert result.stderr == "error: x and y share a block of q\n"
+
+
+def test_subdivide_certs_pair_in_a_larger_frozen_block_is_usage_error(runner, tmp_path):
+    # K3 with its one frozen block {0, 1, 2}: neither case applies to the edge 01
+    certs = _certs_file(tmp_path, [[0], [1], [2]], [[0, 1, 2]])
+    result = runner.invoke(main, ["subdivide", _graph6_file(tmp_path, "Bw"),
+                                  "--x", "0", "--y", "1", "--certs", certs])
+    assert result.exit_code == 2
+    assert result.stderr == "error: x and y share frozen block [0, 1, 2]; neither case applies\n"
+
+
+def test_subdivide_certs_diamond_middle_edge_is_usage_error(runner, tmp_path):
+    # a frozen 2-clique-partition of a six-vertex graph whose edge 45 is a diamond's middle
+    certs = _certs_file(tmp_path, [[v] for v in range(6)], [[0, 3, 5], [1, 2, 4]])
+    args = ["subdivide", _graph6_file(tmp_path, "EK^W"), "--x", "4", "--y", "5",
+            "--certs", certs]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stderr == "error: (4, 5) is the middle edge of a diamond\n"
+    assert runner.invoke(main, args + ["--no-strict-c4"]).exit_code == 0
+
+
+def test_subdivide_certs_f_not_a_clique_partition_fails_verification(runner, c5_path, tmp_path):
+    # 0 and 2 are not adjacent on C5: f is false, not the request
+    certs = _certs_file(tmp_path, [[v] for v in range(5)], [[0, 2], [1, 3], [4]])
+    result = runner.invoke(main, ["subdivide", c5_path, "--x", "0", "--y", "1",
+                                  "--certs", certs])
+    assert result.exit_code == 1
+    assert result.stderr == "verification failed: not a clique partition\n"
 
 
 # -- recolour -------------------------------------------------------------------

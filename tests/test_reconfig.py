@@ -19,6 +19,7 @@ from frozencol.graph import (
     complement,
     complete_graph,
     cycle_graph,
+    empty_graph,
     graph_from_edges,
     join,
     path_graph,
@@ -151,20 +152,24 @@ def test_injective_colourings_past_the_cap_raise_before_the_walk():
     assert reconfiguration_components(graph_from_edges(0, []), 10**12).colouring_count == 1
 
 
+def test_greedy_count_past_the_cap_raises_before_the_walk():
+    # 2^200 colourings of the empty graph: a walk to the cap would take about a minute
+    for g, k in ((empty_graph(200), 2), (cycle_graph(2000), 3)):
+        with pytest.raises(CapExceeded, match="^more than 20000000 proper colourings$"):
+            reconfiguration_components(g, k)
+        with pytest.raises(CapExceeded, match="^more than 10000 proper colourings$"):
+            reconfiguration_dot(g, k)
+    # K4 has no proper 3-colouring, though its first three vertices have 6
+    rep = reconfiguration_components(complete_graph(4), 3, colouring_cap=1)
+    assert (rep.colouring_count, rep.component_count) == (0, 0)
+    assert reconfiguration_dot(complete_graph(4), 3, cap=1) == "graph reconfig {\n}\n"
+
+
 def test_truncation_flag_and_cap():
     # R_3(C_4) has 18 states: a cap below that raises, never a partial report
     with pytest.raises(CapExceeded):
         reconfiguration_components(cycle_graph(4), 3, colouring_cap=17)
     assert reconfiguration_components(cycle_graph(4), 3, colouring_cap=18).colouring_count == 18
-
-
-def test_union_cap_counts_each_edge_once(monkeypatch):
-    # R_3(C_4) has 18 states and 24 edges
-    monkeypatch.setattr(reconfig, "DEFAULT_UNION_CAP", 24)
-    assert reconfiguration_components(cycle_graph(4), 3).component_count == 1
-    monkeypatch.setattr(reconfig, "DEFAULT_UNION_CAP", 23)
-    with pytest.raises(CapExceeded, match="more than 23 union"):
-        reconfiguration_components(cycle_graph(4), 3)
 
 
 def _every_edge_components(g, k, colouring_cap):
@@ -390,15 +395,13 @@ def test_components_with_an_unused_colour_are_closed_under_colour_permutations(s
             assert {tuple(s[c] for c in x) for x in comp} == comp
 
 
-@pytest.mark.parametrize("g, k", [(cycle_graph(5), 3), (path_graph(3), 3),
-                                  (_disjoint_union(complete_graph(3), complete_graph(1)), 3)])
-def test_union_cap_counts_each_edge_once_across_orbits(monkeypatch, g, k):
-    edges = sum(moves.bit_count() for _, _, moves, _ in _Packing(g, k).walk()) // 2
-    monkeypatch.setattr(reconfig, "DEFAULT_UNION_CAP", edges)
-    reconfiguration_components(g, k)
-    monkeypatch.setattr(reconfig, "DEFAULT_UNION_CAP", edges - 1)
-    with pytest.raises(CapExceeded, match=f"more than {edges - 1} union"):
-        reconfiguration_components(g, k)
+def test_c12_is_5_mixing_under_the_state_cap_alone():
+    # 226,492,560 edges, and 4^12 + 4 states: well under the default state cap
+    rep = reconfiguration_components(cycle_graph(12), 5)
+    assert rep.colouring_count == 4**12 + 4 == 16_777_220
+    assert rep.component_count == 1
+    assert rep.component_sizes == (16_777_220,)
+    assert rep.frozen_colourings == ()
 
 
 @pytest.mark.slow
